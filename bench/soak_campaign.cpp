@@ -34,7 +34,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/cpa.hpp"
+#include "analysis/attacks.hpp"
+#include "analysis/tvla.hpp"
 #include "common.hpp"
 #include "fault/fault_spec.hpp"
 #include "obs/obs.hpp"
@@ -174,31 +175,28 @@ int main() {
     // the segment's stores stream through.
     WelchTTest welch_seg(samples);
     analysis::CpaEngine cpa_seg(samples, attack_bytes);
-    for (std::size_t c = 0; c < fixed.chunk_count(); ++c) {
-      const trace::TraceChunk chunk = fixed.chunk(c);
-      for (std::size_t t = 0; t < chunk.count(); ++t) {
-        welch_seg.add_fixed_range(chunk.trace(t), 0, samples);
-        welch_single.add_fixed_range(chunk.trace(t), 0, samples);
-      }
+    for (WelchTTest* welch : {&welch_seg, &welch_single}) {
+      analysis::accumulate_tvla_range(*welch, fixed, 0, fixed.size(), true);
+      analysis::accumulate_tvla_range(*welch, random, 0, random.size(), false);
     }
-    for (std::size_t c = 0; c < random.chunk_count(); ++c) {
-      const trace::TraceChunk chunk = random.chunk(c);
-      for (std::size_t t = 0; t < chunk.count(); ++t) {
-        welch_seg.add_random_range(chunk.trace(t), 0, samples);
-        welch_single.add_random_range(chunk.trace(t), 0, samples);
+    random.for_range(0, random.size(), [&](const trace::TraceChunk& chunk,
+                                           std::size_t k0, std::size_t k1) {
+      for (std::size_t t = k0; t < k1; ++t) {
         cpa_seg.add(chunk.ciphertext(t), chunk.trace(t));
         cpa_single.add(chunk.ciphertext(t), chunk.trace(t));
       }
-    }
+    });
     welch_merged.merge(welch_seg);
     cpa_merged.merge(cpa_seg);
     traces_total += 2 * n;
 
+    const double max_abs_t =
+        scan_t(welch_merged.t_values(), analysis::kTvlaThreshold).max_abs_t;
     report.checkpoint("soak", static_cast<double>(traces_total),
-                      {{"max_abs_t", welch_merged.max_abs_t()},
+                      {{"max_abs_t", max_abs_t},
                        {"segment", static_cast<double>(seg)}});
     std::printf("  segment %zu/%zu: %zu traces folded, max |t| %.2f\n",
-                seg + 1, segments, traces_total, welch_merged.max_abs_t());
+                seg + 1, segments, traces_total, max_abs_t);
 
     // Bound the disk footprint: a segment's stores are dead weight once
     // folded into the campaign accumulators.
@@ -216,9 +214,10 @@ int main() {
   report.metric("welch_merge_bit_identical", welch_ok ? 1.0 : 0.0, "bool");
   report.metric("cpa_merge_bit_identical", cpa_ok ? 1.0 : 0.0, "bool");
 
-  const analysis::CpaEngine::KeyScore score =
-      cpa_merged.score(bench::evaluation_round10_key());
-  const double max_abs_t = welch_merged.max_abs_t();
+  const analysis::AttackCheckpoint score = analysis::evaluate_attack_checkpoint(
+      cpa_merged, bench::evaluation_round10_key());
+  const double max_abs_t =
+      scan_t(welch_merged.t_values(), analysis::kTvlaThreshold).max_abs_t;
   std::printf("  final: max |t| %.2f, CPA mean rank %.1f over %zu traces\n",
               max_abs_t, score.mean_rank, cpa_merged.count());
   report.metric("segments", static_cast<double>(segments), "count");

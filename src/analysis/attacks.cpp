@@ -1,8 +1,6 @@
 #include "analysis/attacks.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <optional>
 #include <numeric>
 #include <stdexcept>
 
@@ -15,27 +13,41 @@
 
 namespace rftc::analysis {
 
-/// One engine.report() pass serves success, mean rank and the peak
-/// correlation (the old code paid two full report passes per checkpoint via
-/// key_recovered() + mean_rank()).
+/// The one checkpoint scorer: a single engine.report() pass serves every
+/// quantity a checkpoint records.
 AttackCheckpoint evaluate_attack_checkpoint(const CpaEngine& engine,
                                             const aes::Block& correct_key) {
   AttackCheckpoint ev;
   const std::vector<CpaEngine::ByteReport> reports = engine.report();
-  if (reports.empty()) return ev;
   ev.recovered = true;
   double rank_sum = 0.0;
   for (const CpaEngine::ByteReport& r : reports) {
     const std::uint8_t correct =
         correct_key[static_cast<std::size_t>(r.byte_pos)];
     const int best = r.best_guess();
+    const int rank = r.rank(correct);
     ev.recovered = ev.recovered && best == correct;
-    rank_sum += r.rank(correct);
+    ev.byte_corr.push_back(r.peak_abs_corr[correct]);
+    ev.byte_rank.push_back(rank);
+    ev.max_rank = std::max(ev.max_rank, rank);
+    rank_sum += rank;
     ev.peak_corr =
         std::max(ev.peak_corr, r.peak_abs_corr[static_cast<std::size_t>(best)]);
   }
   ev.mean_rank = rank_sum / static_cast<double>(reports.size());
   return ev;
+}
+
+void AttackOutcome::record(std::size_t traces, const AttackCheckpoint& ev) {
+  checkpoints.push_back(traces);
+  success.push_back(ev.recovered);
+  mean_rank.push_back(ev.mean_rank);
+  peak_corr.push_back(ev.peak_corr);
+  // Convergence checkpoint: correlation peak and key rank vs traces — the
+  // quantity Fig. 4/Fig. 5 plot as a success-rate curve.
+  RFTC_OBS_INSTANT("analysis", "cpa.checkpoint",
+                   {"traces", static_cast<double>(traces)},
+                   {"peak_corr", ev.peak_corr}, {"mean_rank", ev.mean_rank});
 }
 
 std::vector<int> normalized_byte_positions(const AttackParams& params) {
@@ -75,216 +87,240 @@ const char* transform_phase(AttackKind kind) {
   return nullptr;
 }
 
-/// The streamed and in-RAM campaigns share one core that walks *segments*:
-/// contiguous runs of (already downsampled) traces with a global offset.
-/// The in-RAM path is a single segment (the whole set); the store path is
-/// one segment per chunk.  Segment boundaries never change the result:
-/// traces feed the engine one at a time in global order, and transform
-/// tiles write disjoint rows — so streamed results are bit-identical to
-/// the in-RAM path (the golden streaming test pins this).
-struct SegmentSource {
-  /// Total traces and post-downsample sample count.
-  std::size_t total = 0;
-  std::size_t samples = 0;
-  /// First `n` downsampled traces, for preprocessing fits (DTW reference,
-  /// PCA basis).  The reference stays valid until the source dies.
-  std::function<const trace::TraceSet&(std::size_t n)> prefix;
-  /// Calls `feed(segment, first_global_index)` over consecutive segments.
-  std::function<void(
-      const std::function<void(const trace::TraceSet&, std::size_t)>&)>
-      for_each_segment;
-};
+/// Phase the tile load bills to: mapped store chunks fault in while they
+/// are box-averaged, an in-RAM set only feeds the kernel.
+const char* load_phase(const trace::TraceSet&) { return obs::kPhaseCpaKernel; }
+const char* load_phase(const trace::TraceChunk&) { return obs::kPhaseStoreIo; }
 
-AttackOutcome run_attack_impl(const SegmentSource& src,
-                              const aes::Block& correct_key,
-                              const AttackParams& params) {
-  if (src.total == 0) throw std::invalid_argument("run_attack: empty set");
-  RFTC_OBS_SPAN(attack_span, "analysis", "run_attack");
-  attack_span.arg("traces", static_cast<double>(src.total));
-  static obs::Counter& attacks_run =
-      obs::Registry::global().counter("analysis.attacks_run");
-  attacks_run.inc();
-  static obs::Counter& traces_attacked =
-      obs::Registry::global().counter("analysis.traces_attacked");
-
-  const std::vector<int> bytes = normalized_byte_positions(params);
-  const std::vector<std::size_t> checkpoints =
-      normalized_checkpoints(params, src.total);
-
-  // Preprocessing setup.
-  std::vector<double> dtw_ref;
-  PcaBasis pca;
-  std::size_t features = src.samples;
-  switch (params.kind) {
-    case AttackKind::kCpa:
-      break;
-    case AttackKind::kDtwCpa: {
-      obs::PhaseScope setup_phase(obs::kPhaseDtw);
-      // Reference: one real capture, as in elastic alignment [22] — every
-      // other trace is warped onto its time base.  (A mean over differently
-      // clocked traces would smear the round pulses and give the DP nothing
-      // to lock onto.)  Among the first dtw_ref_traces captures we pick the
-      // one whose length (completion) is closest to the median so extreme
-      // stretches are halved.
-      const std::size_t nref =
-          std::max<std::size_t>(1, std::min(params.dtw_ref_traces, src.total));
-      const trace::TraceSet& head = src.prefix(nref);
-      // Rank candidate references by total energy (a proxy for capture
-      // length: longer encryptions spread energy further right), and take
-      // the median.
-      std::vector<std::pair<double, std::size_t>> energy(nref);
-      for (std::size_t i = 0; i < nref; ++i) {
-        double centroid = 0.0, mass = 0.0;
-        const auto tr = head.trace(i);
-        for (std::size_t s = 0; s < tr.size(); ++s) {
-          centroid += static_cast<double>(tr[s]) * static_cast<double>(s);
-          mass += static_cast<double>(tr[s]);
+/// The one campaign feed behind run_attack (in-RAM and store) and
+/// accumulate_attack_range.  It walks trace ranges of an in-RAM set (a
+/// single segment) or a store (chunk by chunk, via for_range) in tiles of
+/// the engine's batch size.  Each tile is preprocessed in parallel — box
+/// average by the downsample factor, then the attack kind's feature
+/// transform, a pure function of the trace — into disjoint rows of one
+/// reused buffer, then added to the engine serially in trace order.  The
+/// engine therefore sees the same traces in the same order for any thread
+/// count, tile size, chunk geometry or range split, so streamed and
+/// sharded results are bit-identical to the in-RAM path (the golden
+/// streaming and dist tests pin this).
+class AttackFeed {
+ public:
+  /// Validates the source geometry and fits the DTW reference or PCA basis
+  /// from the first traces of `src`, as a real attacker would from the
+  /// traces at hand.
+  template <class Source>
+  AttackFeed(const Source& src, const AttackParams& params)
+      : params_(params),
+        factor_(std::max<std::size_t>(1, params.downsample)),
+        samples_(src.samples() / factor_) {
+    if (src.size() == 0)
+      throw std::invalid_argument("attack: empty trace source");
+    if (samples_ == 0)
+      throw std::invalid_argument("attack: downsample factor too large");
+    features_ = samples_;
+    switch (params.kind) {
+      case AttackKind::kCpa:
+        break;
+      case AttackKind::kDtwCpa: {
+        obs::PhaseScope setup_phase(obs::kPhaseDtw);
+        // Reference: one real capture, as in elastic alignment [22] — every
+        // other trace is warped onto its time base.  (A mean over
+        // differently clocked traces would smear the round pulses and give
+        // the DP nothing to lock onto.)  Among the first dtw_ref_traces
+        // captures we pick the one whose length (completion) is closest to
+        // the median so extreme stretches are halved.
+        const std::size_t nref = std::max<std::size_t>(
+            1, std::min(params.dtw_ref_traces, src.size()));
+        const trace::TraceSet head = prefix(src, nref);
+        // Rank candidate references by total energy (a proxy for capture
+        // length: longer encryptions spread energy further right), and
+        // take the median.
+        std::vector<std::pair<double, std::size_t>> energy(nref);
+        for (std::size_t i = 0; i < nref; ++i) {
+          double centroid = 0.0, mass = 0.0;
+          const auto tr = head.trace(i);
+          for (std::size_t s = 0; s < tr.size(); ++s) {
+            centroid += static_cast<double>(tr[s]) * static_cast<double>(s);
+            mass += static_cast<double>(tr[s]);
+          }
+          energy[i] = {mass > 0 ? centroid / mass : 0.0, i};
         }
-        energy[i] = {mass > 0 ? centroid / mass : 0.0, i};
+        std::sort(energy.begin(), energy.end());
+        const auto ref_tr = head.trace(energy[nref / 2].second);
+        dtw_ref_.assign(ref_tr.begin(), ref_tr.end());
+        break;
       }
-      std::sort(energy.begin(), energy.end());
-      const std::size_t ref_idx = energy[nref / 2].second;
-      const auto ref_tr = head.trace(ref_idx);
-      dtw_ref.assign(ref_tr.begin(), ref_tr.end());
-      break;
-    }
-    case AttackKind::kPcaCpa: {
-      obs::PhaseScope setup_phase(obs::kPhasePca);
-      const std::size_t nfit = std::min(params.pca_fit_traces, src.total);
-      pca = compute_pca(src.prefix(nfit), params.pca_components, nfit);
-      features = pca.dims();
-      break;
-    }
-    case AttackKind::kFftCpa:
-      features = next_pow2(src.samples) / 2;
-      break;
-    case AttackKind::kSwCpa: {
-      const std::size_t w = std::max<std::size_t>(1, params.sw_window);
-      const std::size_t s = std::max<std::size_t>(1, params.sw_stride);
-      features = src.samples >= w ? (src.samples - w) / s + 1 : 1;
-      break;
+      case AttackKind::kPcaCpa: {
+        obs::PhaseScope setup_phase(obs::kPhasePca);
+        const std::size_t nfit = std::min(params.pca_fit_traces, src.size());
+        pca_ = compute_pca(prefix(src, nfit), params.pca_components, nfit);
+        features_ = pca_.dims();
+        break;
+      }
+      case AttackKind::kFftCpa:
+        features_ = next_pow2(samples_) / 2;
+        break;
+      case AttackKind::kSwCpa:
+        features_ = samples_ >= window() ? (samples_ - window()) / stride() + 1
+                                         : 1;
+        break;
     }
   }
 
-  CpaEngine engine(features, bytes, params.leakage, params.engine_mode);
+  std::size_t features() const { return features_; }
+
+  /// Feeds traces [t0, t1) of `src` to `engine`, whose geometry must be
+  /// features() samples.
+  template <class Source>
+  void feed(CpaEngine& engine, const Source& src, std::size_t t0,
+            std::size_t t1) {
+    static obs::Counter& traces_attacked =
+        obs::Registry::global().counter("analysis.traces_attacked");
+    const std::size_t tile = std::max<std::size_t>(1, engine.batch_size());
+    const bool identity = params_.kind == AttackKind::kCpa && factor_ == 1;
+    rows_.resize(identity ? 0 : tile * features_);
+    src.for_range(t0, t1, [&](const auto& seg, std::size_t k0,
+                              std::size_t k1) {
+      for (std::size_t i = k0; i < k1;) {
+        const std::size_t n = std::min(tile, k1 - i);
+        if (identity) {
+          obs::PhaseScope kernel_phase(obs::kPhaseCpaKernel);
+          for (std::size_t j = i; j < i + n; ++j)
+            engine.add(seg.plaintext(j), seg.ciphertext(j), seg.trace(j));
+        } else {
+          {
+            const char* phase = transform_phase(params_.kind);
+            obs::PhaseScope tile_phase(phase != nullptr ? phase
+                                                        : load_phase(seg));
+            // Box averaging alone is too little work per trace to pay for
+            // a pool dispatch, so plain CPA preprocesses its tile inline.
+            const std::size_t grain =
+                params_.kind == AttackKind::kCpa ? n : 1;
+            par::parallel_for(0, n, grain, [&](std::size_t jb,
+                                               std::size_t je) {
+              for (std::size_t j = jb; j < je; ++j)
+                preprocess(seg.trace(i + j), rows_.data() + j * features_);
+            });
+          }
+          obs::PhaseScope kernel_phase(obs::kPhaseCpaKernel);
+          for (std::size_t j = 0; j < n; ++j)
+            engine.add(seg.plaintext(i + j), seg.ciphertext(i + j),
+                       std::span<const float>(rows_.data() + j * features_,
+                                              features_));
+        }
+        traces_attacked.inc(n);
+        i += n;
+      }
+    });
+  }
+
+ private:
+  /// Writes the feature row of raw trace `raw` to `out` (features() wide).
+  /// Runs on parallel workers: scratch is per thread.
+  void preprocess(std::span<const float> raw, float* out) const {
+    if (params_.kind == AttackKind::kCpa) {
+      trace::box_average(raw, factor_, {out, samples_});
+      return;
+    }
+    thread_local std::vector<float> boxed;
+    std::span<const float> tr = raw;
+    if (factor_ > 1) {
+      boxed.resize(samples_);
+      trace::box_average(raw, factor_, boxed);
+      tr = boxed;
+    }
+    switch (params_.kind) {
+      case AttackKind::kCpa:
+        break;
+      case AttackKind::kDtwCpa: {
+        // Reused per worker thread, like the DP scratch inside the aligner
+        // itself — the campaign loop does no per-trace heap work for DTW.
+        thread_local std::vector<float> warped;
+        dtw_align_into(dtw_ref_, tr, params_.dtw, warped);
+        std::copy(warped.begin(), warped.end(), out);
+        break;
+      }
+      case AttackKind::kPcaCpa: {
+        const std::vector<float> f = pca_.project(tr);
+        std::copy(f.begin(), f.end(), out);
+        break;
+      }
+      case AttackKind::kFftCpa: {
+        const auto mag = magnitude_spectrum(tr);
+        for (std::size_t k = 0; k < mag.size(); ++k)
+          out[k] = static_cast<float>(mag[k]);
+        break;
+      }
+      case AttackKind::kSwCpa:
+        for (std::size_t k = 0; k < features_; ++k) {
+          double acc = 0.0;
+          const std::size_t base = k * stride();
+          for (std::size_t x = 0; x < window() && base + x < tr.size(); ++x)
+            acc += static_cast<double>(tr[base + x]);
+          out[k] = static_cast<float>(acc);
+        }
+        break;
+    }
+  }
+
+  std::size_t window() const {
+    return std::max<std::size_t>(1, params_.sw_window);
+  }
+  std::size_t stride() const {
+    return std::max<std::size_t>(1, params_.sw_stride);
+  }
+
+  /// The first `n` traces of `src`, box-averaged: the fit window.
+  template <class Source>
+  trace::TraceSet prefix(const Source& src, std::size_t n) const {
+    trace::TraceSet head(samples_);
+    head.reserve(n);
+    std::vector<float> row(samples_);
+    src.for_range(0, n, [&](const auto& seg, std::size_t k0, std::size_t k1) {
+      obs::PhaseScope io(load_phase(seg));
+      for (std::size_t k = k0; k < k1; ++k) {
+        trace::box_average(seg.trace(k), factor_, row);
+        head.add(row, seg.plaintext(k), seg.ciphertext(k));
+      }
+    });
+    return head;
+  }
+
+  const AttackParams& params_;
+  std::size_t factor_;
+  std::size_t samples_;
+  std::size_t features_ = 0;
+  std::vector<double> dtw_ref_;
+  PcaBasis pca_;
+  /// Preprocessed feature rows of the current tile.
+  std::vector<float> rows_;
+};
+
+template <class Source>
+AttackOutcome run_attack_impl(const Source& src, const aes::Block& correct_key,
+                              const AttackParams& params) {
+  RFTC_OBS_SPAN(attack_span, "analysis", "run_attack");
+  attack_span.arg("traces", static_cast<double>(src.size()));
+  static obs::Counter& attacks_run =
+      obs::Registry::global().counter("analysis.attacks_run");
+  attacks_run.inc();
+
+  AttackFeed feeder(src, params);
+  CpaEngine engine(feeder.features(), normalized_byte_positions(params),
+                   params.leakage, params.engine_mode);
   AttackOutcome out;
   out.kind = params.kind;
-
-  // Preprocessing transforms are pure per-trace functions, so each tile of
-  // traces is transformed in parallel (disjoint feature rows) and then fed
-  // to the engine serially in trace order — results are independent of the
-  // thread count, the tile size and the segment boundaries.  Tiles never
-  // straddle a checkpoint or a segment.
-  const std::size_t tile = std::max<std::size_t>(1, engine.batch_size());
-  std::vector<float> feat_buf(params.kind == AttackKind::kCpa
-                                  ? 0
-                                  : tile * features);
-  std::size_t next_cp = 0;
-
-  src.for_each_segment([&](const trace::TraceSet& seg, std::size_t first) {
-    const auto transform_tile = [&](std::size_t i0, std::size_t i1) {
-      par::parallel_for(i0, i1, 1, [&](std::size_t jb, std::size_t je) {
-        for (std::size_t i = jb; i < je; ++i) {
-          const auto tr = seg.trace(i - first);
-          float* feat = feat_buf.data() + (i - i0) * features;
-          switch (params.kind) {
-            case AttackKind::kCpa:
-              break;
-            case AttackKind::kDtwCpa: {
-              // Reused per worker thread, like the DP scratch inside the
-              // aligner itself — the campaign loop does no per-trace heap
-              // work for DTW.
-              thread_local std::vector<float> warped;
-              dtw_align_into(dtw_ref, tr, params.dtw, warped);
-              std::copy(warped.begin(), warped.end(), feat);
-              break;
-            }
-            case AttackKind::kPcaCpa: {
-              const std::vector<float> f = pca.project(tr);
-              std::copy(f.begin(), f.end(), feat);
-              break;
-            }
-            case AttackKind::kFftCpa: {
-              const auto mag = magnitude_spectrum(tr);
-              for (std::size_t k = 0; k < mag.size(); ++k)
-                feat[k] = static_cast<float>(mag[k]);
-              break;
-            }
-            case AttackKind::kSwCpa: {
-              const std::size_t w = std::max<std::size_t>(1, params.sw_window);
-              const std::size_t s = std::max<std::size_t>(1, params.sw_stride);
-              for (std::size_t k = 0; k < features; ++k) {
-                double acc = 0.0;
-                const std::size_t base = k * s;
-                for (std::size_t x = 0; x < w && base + x < tr.size(); ++x)
-                  acc += static_cast<double>(tr[base + x]);
-                feat[k] = static_cast<float>(acc);
-              }
-              break;
-            }
-          }
-        }
-      });
-    };
-
-    std::size_t i = first;
-    const std::size_t seg_end = first + seg.size();
-    while (i < seg_end) {
-      std::size_t block_end = std::min(i + tile, seg_end);
-      if (next_cp < checkpoints.size())
-        block_end = std::min(block_end, checkpoints[next_cp]);
-      if (params.kind == AttackKind::kCpa) {
-        obs::PhaseScope kernel_phase(obs::kPhaseCpaKernel);
-        for (std::size_t j = i; j < block_end; ++j)
-          engine.add(seg.plaintext(j - first), seg.ciphertext(j - first),
-                     seg.trace(j - first));
-      } else {
-        {
-          obs::PhaseScope tile_phase(transform_phase(params.kind));
-          transform_tile(i, block_end);
-        }
-        obs::PhaseScope kernel_phase(obs::kPhaseCpaKernel);
-        for (std::size_t j = i; j < block_end; ++j)
-          engine.add(seg.plaintext(j - first), seg.ciphertext(j - first),
-                     std::span<const float>(
-                         feat_buf.data() + (j - i) * features, features));
-      }
-      traces_attacked.inc(block_end - i);
-      i = block_end;
-      while (next_cp < checkpoints.size() && i == checkpoints[next_cp]) {
-        obs::PhaseScope report_phase(obs::kPhaseReport);
-        const AttackCheckpoint ev =
-            evaluate_attack_checkpoint(engine, correct_key);
-        out.checkpoints.push_back(checkpoints[next_cp]);
-        out.success.push_back(ev.recovered);
-        out.mean_rank.push_back(ev.mean_rank);
-        out.peak_corr.push_back(ev.peak_corr);
-        // Convergence checkpoint: correlation peak and key rank vs traces —
-        // the quantity Fig. 4/Fig. 5 plot as a success-rate curve.
-        RFTC_OBS_INSTANT("analysis", "cpa.checkpoint",
-                         {"traces", static_cast<double>(checkpoints[next_cp])},
-                         {"peak_corr", ev.peak_corr},
-                         {"mean_rank", ev.mean_rank});
-        if (params.monitor != nullptr)
-          params.monitor->observe_cpa(engine, correct_key);
-        ++next_cp;
-      }
-    }
-  });
+  std::size_t done = 0;
+  // Duplicate checkpoints feed nothing and evaluate twice.
+  for (const std::size_t cp : normalized_checkpoints(params, src.size())) {
+    feeder.feed(engine, src, done, cp);
+    done = cp;
+    obs::PhaseScope report_phase(obs::kPhaseReport);
+    const AttackCheckpoint ev = evaluate_attack_checkpoint(engine, correct_key);
+    out.record(cp, ev);
+    if (params.monitor != nullptr) params.monitor->observe_cpa(ev, cp);
+  }
   return out;
-}
-
-/// Copies one mapped chunk into a TraceSet, downsampled by `factor` —
-/// per-trace box averaging with the exact arithmetic of
-/// TraceSet::downsampled, so streamed features match the in-RAM path bit
-/// for bit.
-trace::TraceSet chunk_to_set(const trace::TraceChunk& c, std::size_t factor) {
-  trace::TraceSet raw(c.samples());
-  raw.reserve(c.count());
-  for (std::size_t k = 0; k < c.count(); ++k)
-    raw.add(std::vector<float>(c.trace(k).begin(), c.trace(k).end()),
-            c.plaintext(k), c.ciphertext(k));
-  return factor > 1 ? raw.downsampled(factor) : raw;
 }
 
 }  // namespace
@@ -306,67 +342,16 @@ std::size_t AttackOutcome::first_success() const {
   return 0;
 }
 
-AttackOutcome run_attack(const trace::TraceSet& raw,
+AttackOutcome run_attack(const trace::TraceSet& set,
                          const aes::Block& correct_key,
                          const AttackParams& params) {
-  if (raw.size() == 0) throw std::invalid_argument("run_attack: empty set");
-  const trace::TraceSet set =
-      params.downsample > 1 ? raw.downsampled(params.downsample) : raw;
-
-  SegmentSource src;
-  src.total = set.size();
-  src.samples = set.samples();
-  src.prefix = [&set](std::size_t) -> const trace::TraceSet& { return set; };
-  src.for_each_segment =
-      [&set](const std::function<void(const trace::TraceSet&, std::size_t)>&
-                 feed) { feed(set, 0); };
-  return run_attack_impl(src, correct_key, params);
+  return run_attack_impl(set, correct_key, params);
 }
 
 AttackOutcome run_attack(const trace::TraceStore& store,
                          const aes::Block& correct_key,
                          const AttackParams& params) {
-  if (store.size() == 0)
-    throw std::invalid_argument("run_attack: empty store");
-  const std::size_t factor = std::max<std::size_t>(1, params.downsample);
-  if (store.samples() / factor == 0)
-    throw std::invalid_argument("run_attack: downsample factor too large");
-
-  // Preprocessing fit window, materialized once.  compute_pca and the DTW
-  // reference pick read only the first n traces of the set, so a prefix cut
-  // at trace granularity reproduces the in-RAM fit exactly.
-  trace::TraceSet head(1);
-  std::size_t head_n = 0;
-  SegmentSource src;
-  src.total = store.size();
-  src.samples = store.samples() / factor;
-  src.prefix = [&](std::size_t n) -> const trace::TraceSet& {
-    if (head_n < n) {
-      obs::PhaseScope io(obs::kPhaseStoreIo);
-      trace::TraceSet raw_head = store.prefix(n);
-      head = factor > 1 ? raw_head.downsampled(factor) : std::move(raw_head);
-      head_n = n;
-    }
-    return head;
-  };
-  src.for_each_segment =
-      [&](const std::function<void(const trace::TraceSet&, std::size_t)>&
-              feed) {
-        std::size_t first = 0;
-        for (std::size_t c = 0; c < store.chunk_count(); ++c) {
-          // One chunk resident at a time: the mapping dies with `seg`'s
-          // source chunk at the end of each iteration.
-          std::optional<trace::TraceSet> seg_opt;
-          {
-            obs::PhaseScope io(obs::kPhaseStoreIo);
-            seg_opt.emplace(chunk_to_set(store.chunk(c), factor));
-          }
-          const trace::TraceSet& seg = *seg_opt;
-          feed(seg, first);
-          first += seg.size();
-        }
-      };
-  return run_attack_impl(src, correct_key, params);
+  return run_attack_impl(store, correct_key, params);
 }
 
 CpaEngine accumulate_attack_range(const trace::TraceStore& store,
@@ -375,38 +360,10 @@ CpaEngine accumulate_attack_range(const trace::TraceStore& store,
   if (params.kind != AttackKind::kCpa)
     throw std::invalid_argument(
         "accumulate_attack_range: only plain CPA shards merge bit-exactly");
-  if (store.size() == 0)
-    throw std::invalid_argument("accumulate_attack_range: empty store");
-  const std::size_t factor = std::max<std::size_t>(1, params.downsample);
-  if (store.samples() / factor == 0)
-    throw std::invalid_argument(
-        "accumulate_attack_range: downsample factor too large");
-
-  CpaEngine engine(store.samples() / factor, normalized_byte_positions(params),
+  AttackFeed feeder(store, params);
+  CpaEngine engine(feeder.features(), normalized_byte_positions(params),
                    params.leakage, params.engine_mode);
-  static obs::Counter& traces_attacked =
-      obs::Registry::global().counter("analysis.traces_attacked");
-  store.for_range(
-      t0, t1,
-      [&](const trace::TraceChunk& c, std::size_t k0, std::size_t k1) {
-        // Materialize just the shard's slice of the chunk, downsampled with
-        // the exact chunk_to_set arithmetic (box averaging is per trace, so
-        // the slice matches the full-chunk conversion bit for bit).
-        trace::TraceSet raw(c.samples());
-        raw.reserve(k1 - k0);
-        {
-          obs::PhaseScope io(obs::kPhaseStoreIo);
-          for (std::size_t k = k0; k < k1; ++k)
-            raw.add(std::vector<float>(c.trace(k).begin(), c.trace(k).end()),
-                    c.plaintext(k), c.ciphertext(k));
-        }
-        const trace::TraceSet seg =
-            factor > 1 ? raw.downsampled(factor) : std::move(raw);
-        obs::PhaseScope kernel_phase(obs::kPhaseCpaKernel);
-        for (std::size_t i = 0; i < seg.size(); ++i)
-          engine.add(seg.plaintext(i), seg.ciphertext(i), seg.trace(i));
-        traces_attacked.inc(seg.size());
-      });
+  feeder.feed(engine, store, t0, t1);
   return engine;
 }
 

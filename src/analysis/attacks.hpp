@@ -60,10 +60,27 @@ struct AttackParams {
   /// Checkpoints (trace counts) at which key ranks are recorded; empty
   /// selects just the full set.
   std::vector<std::size_t> checkpoints;
-  /// Optional streaming monitor: snapshotted (observe_cpa) at every
-  /// checkpoint, fed from the live engine without re-scanning traces.
+  /// Optional streaming monitor: handed every checkpoint run_attack scores
+  /// (observe_cpa), so monitoring costs no extra report pass.
   /// Not owned; must outlive the run_attack call.
   ConvergenceMonitor* monitor = nullptr;
+};
+
+/// One checkpoint scored from a single engine.report() pass.
+struct AttackCheckpoint {
+  /// Full-key success: every attacked byte's best guess is correct.
+  bool recovered = false;
+  /// Mean rank of the correct byte values (1 = recovered).
+  double mean_rank = 0.0;
+  /// Worst (highest) rank across attacked bytes.
+  int max_rank = 0;
+  /// Highest best-guess |corr| across attacked bytes (the distinguisher's
+  /// convergence signal).
+  double peak_corr = 0.0;
+  /// Correct-key peak |corr| per attacked byte (engine byte order).
+  std::vector<double> byte_corr;
+  /// Rank of the correct value per attacked byte.
+  std::vector<int> byte_rank;
 };
 
 struct AttackOutcome {
@@ -79,6 +96,10 @@ struct AttackOutcome {
   std::vector<double> peak_corr;
   /// Smallest checkpoint with success, or 0 when never successful.
   std::size_t first_success() const;
+  /// Appends checkpoint `ev` scored at `traces` and emits its
+  /// "cpa.checkpoint" event — the one recorder behind run_attack and the
+  /// distributed coordinator's merge.
+  void record(std::size_t traces, const AttackCheckpoint& ev);
 };
 
 /// Runs one campaign against `set`; `correct_key` is the ground truth used
@@ -98,17 +119,10 @@ AttackOutcome run_attack(const trace::TraceStore& store,
                          const aes::Block& correct_key,
                          const AttackParams& params);
 
-/// One checkpoint evaluation distilled from a single engine.report() pass.
-struct AttackCheckpoint {
-  bool recovered = false;
-  double mean_rank = 0.0;
-  double peak_corr = 0.0;
-};
-
-/// Scores `engine` against `correct_key` exactly as the run_attack
-/// checkpoint loop does (one report pass serves success, mean rank and peak
-/// correlation).  Public so the distributed coordinator evaluates merged
-/// shard prefixes through the identical code path.
+/// The one CPA checkpoint scorer: scores `engine` against `correct_key`
+/// (round-10 key for the last-round model, master key for the first-round
+/// model) from one report pass.  run_attack, the distributed coordinator's
+/// merge and the ConvergenceMonitor all take their checkpoints from here.
 AttackCheckpoint evaluate_attack_checkpoint(const CpaEngine& engine,
                                             const aes::Block& correct_key);
 
@@ -127,13 +141,14 @@ std::vector<std::size_t> normalized_checkpoints(const AttackParams& params,
 
 /// Sharded-campaign primitive: builds a fresh CpaEngine with run_attack's
 /// geometry (downsampled samples, normalized byte positions, params.leakage
-/// and params.engine_mode) and feeds it store traces [t0, t1) in index
-/// order, `t1` clamped to the store size.  Only plain CPA is supported:
-/// raw ADC traces keep every engine sum exact, so CpaEngine::merge over any
-/// partition of the trace range is bit-identical to the single-process
-/// engine — the contract the rftc::dist workers build on.  Preprocessed
-/// kinds (PCA/DTW/FFT/SW features are not exactly representable) throw
-/// std::invalid_argument rather than merging approximately.
+/// and params.engine_mode) and feeds it store traces [t0, t1) through
+/// run_attack's own range feed, `t1` clamped to the store size.  Only plain
+/// CPA is supported: raw ADC traces keep every engine sum exact, so
+/// CpaEngine::merge over any partition of the trace range is bit-identical
+/// to the single-process engine — the contract the rftc::dist workers
+/// build on.  Preprocessed kinds (PCA/DTW/FFT/SW features are not exactly
+/// representable) throw std::invalid_argument rather than merging
+/// approximately.
 CpaEngine accumulate_attack_range(const trace::TraceStore& store,
                                   const AttackParams& params, std::size_t t0,
                                   std::size_t t1);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/tvla.hpp"
 #include "obs/obs.hpp"
 #include "obs/sampler.hpp"
 #include "util/rng.hpp"
@@ -66,32 +65,10 @@ MtdEstimate ConvergenceMonitor::estimate_mtd(
   return est;
 }
 
-void ConvergenceMonitor::observe_cpa(const CpaEngine& engine,
-                                     const aes::Block& correct_key) {
-  CpaCheckpoint cp;
-  cp.traces = engine.count();
-  const std::vector<CpaEngine::ByteReport> reports = engine.report();
-  if (reports.empty()) {
-    cpa_.push_back(std::move(cp));
-    return;
-  }
-  cp.recovered = true;
-  double rank_sum = 0.0;
-  for (const CpaEngine::ByteReport& r : reports) {
-    const std::uint8_t correct =
-        correct_key[static_cast<std::size_t>(r.byte_pos)];
-    const int best = r.best_guess();
-    const int rank = r.rank(correct);
-    cp.recovered = cp.recovered && best == correct;
-    cp.byte_corr.push_back(r.peak_abs_corr[correct]);
-    cp.byte_rank.push_back(rank);
-    cp.max_rank = std::max(cp.max_rank, rank);
-    rank_sum += rank;
-    cp.peak_corr = std::max(
-        cp.peak_corr, r.peak_abs_corr[static_cast<std::size_t>(best)]);
-  }
-  cp.mean_rank = rank_sum / static_cast<double>(reports.size());
-  cp.mtd = estimate_mtd(cp.byte_corr, cp.recovered);
+void ConvergenceMonitor::observe_cpa(const AttackCheckpoint& scored,
+                                     std::size_t traces) {
+  CpaCheckpoint cp{scored, traces, estimate_mtd(scored.byte_corr,
+                                                scored.recovered)};
   RFTC_OBS_INSTANT("analysis", "monitor.cpa",
                    {"traces", static_cast<double>(cp.traces)},
                    {"mean_rank", cp.mean_rank},
@@ -105,21 +82,9 @@ void ConvergenceMonitor::observe_cpa(const CpaEngine& engine,
   cpa_.push_back(std::move(cp));
 }
 
-void ConvergenceMonitor::observe_tvla(const WelchTTest& test) {
-  TvlaCheckpoint cp;
-  cp.traces_per_population =
-      std::min(test.fixed_count(), test.random_count());
-  const std::vector<double> t = test.t_values();
-  for (std::size_t s = 0; s < t.size(); ++s) {
-    cp.max_t = std::max(cp.max_t, t[s]);
-    cp.min_t = std::min(cp.min_t, t[s]);
-    const double a = std::fabs(t[s]);
-    if (a > cp.max_abs_t) {
-      cp.max_abs_t = a;
-      cp.worst_sample = s;
-    }
-    if (a > kTvlaThreshold) ++cp.leaking_samples;
-  }
+void ConvergenceMonitor::observe_tvla(const TStatScan& scan,
+                                      std::size_t traces_per_population) {
+  const TvlaCheckpoint cp{scan, traces_per_population};
   RFTC_OBS_INSTANT(
       "analysis", "monitor.tvla",
       {"traces_per_population", static_cast<double>(cp.traces_per_population)},

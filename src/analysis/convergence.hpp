@@ -7,14 +7,15 @@
 // (obs::checkpoints_from_env, log-spaced by default) while the accumulators
 // are still being fed, without ever re-scanning the trace set:
 //
-//  * observe_cpa() takes ONE CpaEngine::report() pass and records, per
-//    attacked byte, the correct-key peak correlation and rank, plus the
-//    byte-max |correlation| of the best guess, full-key recovery, and an
-//    MTD (measurements-to-disclosure) estimate with a bootstrap confidence
-//    interval (resampling the attacked-byte set; deterministic under the
-//    configured seed).
-//  * observe_tvla() reads the Welch accumulator's per-sample t statistics
-//    and records the signed extrema, |t| max, and leaking-sample count.
+//  * observe_cpa() takes the checkpoint run_attack already scored
+//    (evaluate_attack_checkpoint: per attacked byte the correct-key peak
+//    correlation and rank, the byte-max |correlation| of the best guess,
+//    full-key recovery) and adds an MTD (measurements-to-disclosure)
+//    estimate with a bootstrap confidence interval (resampling the
+//    attacked-byte set; deterministic under the configured seed).  No
+//    extra report pass.
+//  * observe_tvla() takes the t-scan run_tvla already made at the
+//    checkpoint: signed extrema, |t| max and leaking-sample count.
 //
 // Snapshots are pure functions of the accumulator state, so a monitor fed
 // from the deterministic CPA/TVLA pipeline is bit-identical under any
@@ -29,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/cpa.hpp"
+#include "analysis/attacks.hpp"
 #include "obs/run_manifest.hpp"
 #include "util/stats.hpp"
 
@@ -54,32 +55,13 @@ struct MtdEstimate {
   bool disclosed = false;
 };
 
-struct CpaCheckpoint {
+struct CpaCheckpoint : AttackCheckpoint {
   std::size_t traces = 0;
-  /// Highest best-guess |corr| across attacked bytes (the distinguisher's
-  /// convergence signal).
-  double peak_corr = 0.0;
-  /// Mean rank of the correct byte values (1 = recovered).
-  double mean_rank = 0.0;
-  /// Worst (highest) rank across attacked bytes.
-  int max_rank = 0;
-  bool recovered = false;
-  /// Correct-key peak |corr| per attacked byte (engine byte order).
-  std::vector<double> byte_corr;
-  /// Rank of the correct value per attacked byte.
-  std::vector<int> byte_rank;
   MtdEstimate mtd;
 };
 
-struct TvlaCheckpoint {
+struct TvlaCheckpoint : TStatScan {
   std::size_t traces_per_population = 0;
-  /// Signed Welch-t extrema over the samples.
-  double max_t = 0.0;
-  double min_t = 0.0;
-  double max_abs_t = 0.0;
-  std::size_t worst_sample = 0;
-  /// Samples with |t| above the 4.5 threshold.
-  std::size_t leaking_samples = 0;
 };
 
 class ConvergenceMonitor {
@@ -96,12 +78,13 @@ class ConvergenceMonitor {
   ConvergenceMonitor() : ConvergenceMonitor(Options{}) {}
   explicit ConvergenceMonitor(Options options);
 
-  /// Snapshot the CPA engine against the ground-truth key (round-10 key
-  /// for the last-round model).  One report() pass.
-  void observe_cpa(const CpaEngine& engine, const aes::Block& correct_key);
+  /// Records a CPA checkpoint scored at `traces` by
+  /// evaluate_attack_checkpoint, plus its MTD estimate.
+  void observe_cpa(const AttackCheckpoint& scored, std::size_t traces);
 
-  /// Snapshot a TVLA Welch accumulator (both populations at equal counts).
-  void observe_tvla(const WelchTTest& test);
+  /// Records a TVLA checkpoint: the t-scan at `traces_per_population`
+  /// traces in each population.
+  void observe_tvla(const TStatScan& scan, std::size_t traces_per_population);
 
   const std::vector<CpaCheckpoint>& cpa() const { return cpa_; }
   const std::vector<TvlaCheckpoint>& tvla() const { return tvla_; }

@@ -231,10 +231,7 @@ CpaEngine CpaEngine::deserialize(std::span<const unsigned char> blob) {
   const std::uint64_t samples = r.u64();
   const std::uint64_t n_bytes = r.u64();
   const std::uint64_t n = r.u64();
-  // The blob carries at least one double per (byte, sample); bound both
-  // before any allocation so a corrupt header cannot trigger a huge alloc.
-  if (samples == 0 || n_bytes == 0 || n_bytes > 16 ||
-      samples > blob.size() / sizeof(double))
+  if (samples == 0 || n_bytes == 0 || n_bytes > 16)
     throw std::runtime_error("CpaEngine::deserialize: implausible geometry");
   std::vector<int> bytes(static_cast<std::size_t>(n_bytes));
   for (int& b : bytes) b = static_cast<int>(r.u32());
@@ -242,6 +239,21 @@ CpaEngine CpaEngine::deserialize(std::span<const unsigned char> blob) {
     if (b < 0 || b > 15)
       throw std::runtime_error(
           "CpaEngine::deserialize: byte position out of range");
+  // The arrays must fill the rest of the blob exactly: 2 * 256 hypothesis
+  // sums per byte, plus per sample the two trace sums and the mode's cross
+  // sums.  Checked by division, so the header's sample count never enters
+  // a product that could overflow, and before the engine allocates: a
+  // forged header cannot cost more memory than the blob carries.
+  const std::uint64_t cross_per_byte =
+      mode_tag == 0 ? 256 : (model_tag == 0 ? 1 + 8 * 256 : 256);
+  const std::uint64_t per_sample = 2 + n_bytes * cross_per_byte;
+  const std::uint64_t fixed_words = 2 * 256 * n_bytes;
+  const std::uint64_t words = r.remaining() / sizeof(double);
+  if (r.remaining() % sizeof(double) != 0 || words < fixed_words ||
+      (words - fixed_words) % per_sample != 0 ||
+      (words - fixed_words) / per_sample != samples)
+    throw std::runtime_error(
+        "CpaEngine::deserialize: payload size does not match the geometry");
   CpaEngine eng(static_cast<std::size_t>(samples), std::move(bytes),
                 model_tag == 0 ? aes::LeakageModel::kLastRoundHd
                                : aes::LeakageModel::kFirstRoundHw,
@@ -500,29 +512,6 @@ std::vector<CpaEngine::ByteReport> CpaEngine::report_batched() const {
     }
   }
   return out;
-}
-
-CpaEngine::KeyScore CpaEngine::score(const aes::Block& correct_key) const {
-  KeyScore ks;
-  ks.reports = report();
-  ks.recovered = true;
-  double acc = 0.0;
-  for (const ByteReport& r : ks.reports) {
-    const std::uint8_t correct =
-        correct_key[static_cast<std::size_t>(r.byte_pos)];
-    if (r.best_guess() != static_cast<int>(correct)) ks.recovered = false;
-    acc += r.rank(correct);
-  }
-  ks.mean_rank = acc / static_cast<double>(ks.reports.size());
-  return ks;
-}
-
-bool CpaEngine::key_recovered(const aes::Block& round10_key) const {
-  return score(round10_key).recovered;
-}
-
-double CpaEngine::mean_rank(const aes::Block& round10_key) const {
-  return score(round10_key).mean_rank;
 }
 
 }  // namespace rftc::analysis

@@ -111,25 +111,9 @@ class CpaEngine {
   };
 
   /// Correlation report for every attacked byte (O(bytes*256*samples)).
+  /// Scoring against a known key lives in evaluate_attack_checkpoint
+  /// (analysis/attacks.hpp).
   std::vector<ByteReport> report() const;
-
-  /// Everything a checkpoint evaluation needs from ONE report pass.
-  struct KeyScore {
-    bool recovered = false;
-    double mean_rank = 0.0;
-    std::vector<ByteReport> reports;
-  };
-  /// Scores the attacked bytes against `correct_key` (round-10 key for the
-  /// last-round model, master key for the first-round model).
-  KeyScore score(const aes::Block& correct_key) const;
-
-  /// True when every attacked byte's best guess equals the corresponding
-  /// byte of `correct_key`.  Prefer score() when the mean rank is also
-  /// needed — each of these runs a full report pass.
-  bool key_recovered(const aes::Block& correct_key) const;
-
-  /// Mean rank of the correct byte guesses (1 = fully recovered).
-  double mean_rank(const aes::Block& correct_key) const;
 
  private:
   void add_streaming(const aes::Block& plaintext, const aes::Block& ciphertext,

@@ -1,8 +1,6 @@
 #include "analysis/tvla.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "analysis/convergence.hpp"
@@ -20,117 +18,68 @@ namespace {
 /// of the thread count — see util/parallel.hpp).
 constexpr std::size_t kSampleGrain = 32;
 
-double max_abs(const std::vector<double>& v) {
-  double m = 0.0;
-  for (const double x : v) m = std::max(m, std::fabs(x));
-  return m;
-}
-
-/// Accumulates traces [i0, i1) of both populations, sharded over samples:
-/// every shard owns a disjoint sample range and walks the traces in index
-/// order, so each per-sample Welch accumulator sees exactly the serial
-/// update sequence for any thread count.
-void accumulate_block(WelchTTest& test, const trace::TvlaCapture& capture,
-                      std::size_t i0, std::size_t i1, bool fixed,
-                      bool random) {
-  const std::size_t samples = capture.fixed.samples();
-  par::parallel_for(0, samples, kSampleGrain,
-                    [&](std::size_t s0, std::size_t s1) {
-                      for (std::size_t i = i0; i < i1; ++i) {
-                        if (fixed)
-                          test.add_fixed_range(capture.fixed.trace(i), s0, s1);
-                        if (random)
-                          test.add_random_range(capture.random.trace(i), s0,
-                                                s1);
-                      }
-                    });
-}
-
-/// Accumulates traces [i0, i1) of one store-backed population through the
-/// mapped chunk windows, sample-sharded exactly like accumulate_block.
-/// Chunks are visited in order (for_range maps one window at a time) and
-/// each per-sample shard walks the chunk's traces in index order, so every
-/// Welch accumulator sees the same update sequence as the in-RAM path — the
-/// golden streaming test pins the resulting t_values bit for bit.
-void accumulate_store_block(WelchTTest& test, const trace::TraceStore& store,
-                            std::size_t i0, std::size_t i1, bool is_fixed) {
-  store.for_range(
-      i0, i1,
-      [&](const trace::TraceChunk& chunk, std::size_t k0, std::size_t k1) {
-        par::parallel_for(0, store.samples(), kSampleGrain,
-                          [&](std::size_t s0, std::size_t s1) {
-                            for (std::size_t k = k0; k < k1; ++k) {
-                              const auto tr = chunk.trace(k);
-                              if (is_fixed)
-                                test.add_fixed_range(tr, s0, s1);
-                              else
-                                test.add_random_range(tr, s0, s1);
-                            }
-                          });
-      });
-}
-
-/// Checkpointed Welch skeleton shared by the in-RAM and streamed paths:
-/// `accumulate(i0, i1, fixed, random)` feeds traces [i0, i1) of the
-/// selected populations into `test`.
-TvlaResult run_tvla_impl(
-    WelchTTest& test, std::size_t n_fixed, std::size_t n_random,
-    const std::function<void(std::size_t, std::size_t, bool, bool)>&
-        accumulate,
-    ConvergenceMonitor* monitor) {
-  // The whole Welch sweep (accumulation, per-checkpoint t scans and the
-  // final scan) bills to the tvla phase; chunk mapping on the streamed path
-  // is lazy reads inside the accumulate callback and is attributed here
-  // too — it is the cost of running TVLA out of core.
-  obs::PhaseScope phase(obs::kPhaseTvla);
-  RFTC_OBS_SPAN(span, "analysis", "run_tvla");
+/// The one Welch feed: traces [t0, t1) of one population of an in-RAM set
+/// (a single segment) or a store (chunk by chunk, via for_range), sharded
+/// over samples.  Every shard owns a disjoint sample range and walks the
+/// segment's traces in index order, so each per-sample accumulator sees
+/// exactly the serial update sequence for any thread count and any chunk
+/// geometry — the golden streaming test pins the resulting t_values bit
+/// for bit.
+template <class Source>
+void feed_welch(WelchTTest& test, const Source& src, std::size_t t0,
+                std::size_t t1, bool fixed) {
   static obs::Counter& traces_attacked =
       obs::Registry::global().counter("analysis.traces_attacked");
-  const auto feed = [&](std::size_t i0, std::size_t i1, bool fixed,
-                        bool random) {
-    accumulate(i0, i1, fixed, random);
-    if (i1 > i0)
-      traces_attacked.inc((i1 - i0) * ((fixed ? 1u : 0u) + (random ? 1u : 0u)));
-  };
+  src.for_range(t0, t1, [&](const auto& seg, std::size_t k0, std::size_t k1) {
+    par::parallel_for(0, test.samples(), kSampleGrain,
+                      [&](std::size_t s0, std::size_t s1) {
+                        for (std::size_t k = k0; k < k1; ++k) {
+                          if (fixed)
+                            test.add_fixed_range(seg.trace(k), s0, s1);
+                          else
+                            test.add_random_range(seg.trace(k), s0, s1);
+                        }
+                      });
+    traces_attacked.inc(k1 - k0);
+  });
+}
+
+/// Checkpointed Welch campaign over the two populations of `capture` (an
+/// in-RAM TvlaCapture or a StoredTvlaCapture).
+template <class Capture>
+TvlaResult run_tvla_impl(const Capture& capture, ConvergenceMonitor* monitor) {
+  if (capture.fixed.samples() != capture.random.samples())
+    throw std::invalid_argument("run_tvla: sample count mismatch");
+  // The whole Welch sweep (accumulation, per-checkpoint t scans and the
+  // final scan) bills to the tvla phase; chunk mapping on the streamed path
+  // is lazy reads inside the feed and is attributed here too — it is the
+  // cost of running TVLA out of core.
+  obs::PhaseScope phase(obs::kPhaseTvla);
+  RFTC_OBS_SPAN(span, "analysis", "run_tvla");
+  WelchTTest test(capture.fixed.samples());
+  const std::size_t n_fixed = capture.fixed.size();
+  const std::size_t n_random = capture.random.size();
   TvlaResult res;
 
   // Both populations advance in lockstep so the t-statistic is meaningful
-  // at intermediate counts; checkpoints follow the obs schedule (log-spaced
-  // by default, RFTC_OBS_CHECKPOINTS to override).  The fixed and random
-  // accumulators are independent, so accumulating a whole inter-checkpoint
-  // block at once (sample-sharded) gives the same t_values as a
-  // pairwise-interleaved loop.
+  // at intermediate counts.  The fixed and random accumulators are
+  // independent, so accumulating a whole inter-checkpoint block at once
+  // gives the same t_values as a pairwise-interleaved loop.
   const std::size_t paired = std::min(n_fixed, n_random);
   std::size_t i = 0;
-  for (const std::size_t cp : obs::checkpoints_from_env(paired)) {
-    if (cp >= paired) break;  // the final count is evaluated below
-    feed(i, cp, true, true);
+  for (const std::size_t cp : tvla_checkpoints(paired)) {
+    feed_welch(test, capture.fixed, i, cp, true);
+    feed_welch(test, capture.random, i, cp, false);
     i = cp;
-    const double t_now = max_abs(test.t_values());
-    res.convergence.emplace_back(i, t_now);
-    RFTC_OBS_INSTANT("analysis", "tvla.checkpoint",
-                     {"traces_per_population", static_cast<double>(i)},
-                     {"max_abs_t", t_now});
-    if (monitor != nullptr) monitor->observe_tvla(test);
+    const TStatScan scan = scan_t(test.t_values(), kTvlaThreshold);
+    res.record(i, scan.max_abs_t);
+    if (monitor != nullptr) monitor->observe_tvla(scan, i);
   }
-  feed(i, paired, true, true);
-  feed(paired, n_fixed, true, false);
-  feed(paired, n_random, false, true);
+  feed_welch(test, capture.fixed, i, n_fixed, true);
+  feed_welch(test, capture.random, i, n_random, false);
 
-  res.t_values = test.t_values();
-  for (std::size_t s = 0; s < res.t_values.size(); ++s) {
-    const double a = std::fabs(res.t_values[s]);
-    if (a > res.max_abs_t) {
-      res.max_abs_t = a;
-      res.worst_sample = s;
-    }
-    if (a > kTvlaThreshold) ++res.leaking_samples;
-  }
-  res.convergence.emplace_back(n_fixed, res.max_abs_t);
-  RFTC_OBS_INSTANT("analysis", "tvla.checkpoint",
-                   {"traces_per_population", static_cast<double>(n_fixed)},
-                   {"max_abs_t", res.max_abs_t});
-  if (monitor != nullptr) monitor->observe_tvla(test);
+  res.finish(test, n_fixed);
+  if (monitor != nullptr) monitor->observe_tvla(res, paired);
   static obs::Gauge& last_t =
       obs::Registry::global().gauge("analysis.tvla.last_max_abs_t");
   last_t.set(res.max_abs_t);
@@ -142,39 +91,41 @@ TvlaResult run_tvla_impl(
 
 }  // namespace
 
+void TvlaResult::record(std::size_t traces_per_population, double max_abs) {
+  convergence.emplace_back(traces_per_population, max_abs);
+  RFTC_OBS_INSTANT("analysis", "tvla.checkpoint",
+                   {"traces_per_population",
+                    static_cast<double>(traces_per_population)},
+                   {"max_abs_t", max_abs});
+}
+
+void TvlaResult::finish(const WelchTTest& test, std::size_t traces) {
+  t_values = test.t_values();
+  static_cast<TStatScan&>(*this) = scan_t(t_values, kTvlaThreshold);
+  record(traces, max_abs_t);
+}
+
+std::vector<std::size_t> tvla_checkpoints(std::size_t paired) {
+  std::vector<std::size_t> cps = obs::checkpoints_from_env(paired);
+  std::erase_if(cps, [&](std::size_t c) { return c >= paired; });
+  return cps;
+}
+
 void accumulate_tvla_range(WelchTTest& test, const trace::TraceStore& store,
                            std::size_t t0, std::size_t t1, bool fixed) {
   if (test.samples() != store.samples())
     throw std::invalid_argument("accumulate_tvla_range: sample mismatch");
-  accumulate_store_block(test, store, t0, std::min(t1, store.size()), fixed);
+  feed_welch(test, store, t0, t1, fixed);
 }
 
 TvlaResult run_tvla(const trace::TvlaCapture& capture,
                     ConvergenceMonitor* monitor) {
-  if (capture.fixed.samples() != capture.random.samples())
-    throw std::invalid_argument("run_tvla: sample count mismatch");
-  WelchTTest test(capture.fixed.samples());
-  return run_tvla_impl(
-      test, capture.fixed.size(), capture.random.size(),
-      [&](std::size_t i0, std::size_t i1, bool fixed, bool random) {
-        accumulate_block(test, capture, i0, i1, fixed, random);
-      },
-      monitor);
+  return run_tvla_impl(capture, monitor);
 }
 
 TvlaResult run_tvla(const trace::StoredTvlaCapture& capture,
                     ConvergenceMonitor* monitor) {
-  if (capture.fixed.samples() != capture.random.samples())
-    throw std::invalid_argument("run_tvla: sample count mismatch");
-  WelchTTest test(capture.fixed.samples());
-  return run_tvla_impl(
-      test, capture.fixed.size(), capture.random.size(),
-      [&](std::size_t i0, std::size_t i1, bool fixed, bool random) {
-        if (fixed) accumulate_store_block(test, capture.fixed, i0, i1, true);
-        if (random)
-          accumulate_store_block(test, capture.random, i0, i1, false);
-      },
-      monitor);
+  return run_tvla_impl(capture, monitor);
 }
 
 }  // namespace rftc::analysis

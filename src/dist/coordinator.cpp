@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "analysis/cpa.hpp"
-#include "obs/checkpoints.hpp"
 #include "obs/log.hpp"
 #include "trace/trace_store.hpp"
 #include "util/stats.hpp"
@@ -72,13 +70,6 @@ pid_t spawn_worker(const std::string& binary, const std::string& task_path,
 
 std::span<const unsigned char> as_bytes(const std::string& blob) {
   return {reinterpret_cast<const unsigned char*>(blob.data()), blob.size()};
-}
-
-/// max |t| exactly as run_tvla_impl computes it at a convergence checkpoint.
-double max_abs(const std::vector<double>& v) {
-  double m = 0.0;
-  for (const double x : v) m = std::max(m, std::fabs(x));
-  return m;
 }
 
 }  // namespace
@@ -141,13 +132,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     tvla_samples = fixed.samples();
     span = std::max(n_fixed, n_random);
     const std::size_t paired = std::min(n_fixed, n_random);
-    // Exactly the schedule run_tvla_impl walks: env checkpoints below the
-    // paired count (the final count is evaluated after the tails), plus the
-    // paired boundary itself so the lockstep region ends on a cut.
-    for (const std::size_t cp : obs::checkpoints_from_env(paired)) {
-      if (cp >= paired) break;
-      eval_cuts.push_back(cp);
-    }
+    // run_tvla's schedule, plus the paired boundary itself so the lockstep
+    // region ends on a cut.
+    eval_cuts = analysis::tvla_checkpoints(paired);
     if (paired > 0) eval_cuts.push_back(paired);
   }
 
@@ -282,15 +269,11 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       else
         merged->merge(engine);
       // Duplicate checkpoints evaluate twice, exactly like run_attack.
-      while (next_cp < eval_cuts.size() && eval_cuts[next_cp] == shard.t1) {
-        const analysis::AttackCheckpoint ev =
-            analysis::evaluate_attack_checkpoint(*merged, key);
-        result.attack.checkpoints.push_back(eval_cuts[next_cp]);
-        result.attack.success.push_back(ev.recovered);
-        result.attack.mean_rank.push_back(ev.mean_rank);
-        result.attack.peak_corr.push_back(ev.peak_corr);
-        ++next_cp;
-      }
+      for (; next_cp < eval_cuts.size() && eval_cuts[next_cp] == shard.t1;
+           ++next_cp)
+        result.attack.record(
+            eval_cuts[next_cp],
+            analysis::evaluate_attack_checkpoint(*merged, key));
     }
   } else {
     const std::size_t paired = std::min(n_fixed, n_random);
@@ -306,22 +289,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         merged.emplace(std::move(test));
       else
         merged->merge(test);
-      // Convergence entries at the env schedule below the paired count —
-      // the same points run_tvla_impl records before its final entry.
+      // Convergence entries at tvla_checkpoints — the same points run_tvla
+      // records before its final entry.
       if (shard.t1 < paired &&
           std::binary_search(eval_cuts.begin(), eval_cuts.end(), shard.t1))
-        res.convergence.emplace_back(shard.t1, max_abs(merged->t_values()));
+        res.record(shard.t1,
+                   scan_t(merged->t_values(), analysis::kTvlaThreshold)
+                       .max_abs_t);
     }
-    res.t_values = merged->t_values();
-    for (std::size_t s = 0; s < res.t_values.size(); ++s) {
-      const double a = std::fabs(res.t_values[s]);
-      if (a > res.max_abs_t) {
-        res.max_abs_t = a;
-        res.worst_sample = s;
-      }
-      if (a > analysis::kTvlaThreshold) ++res.leaking_samples;
-    }
-    res.convergence.emplace_back(n_fixed, res.max_abs_t);
+    res.finish(*merged, n_fixed);
   }
   return result;
 }

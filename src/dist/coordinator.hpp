@@ -49,11 +49,12 @@ struct CampaignResult {
 /// Runs one distributed campaign to completion.  The merged result is
 /// bit-identical to the single-process run: shard cuts include every
 /// checkpoint, per-shard sums are exact on ADC-quantized traces, and the
-/// merged prefix at each checkpoint is evaluated through the same code the
-/// single-process paths use (evaluate_attack_checkpoint / the run_tvla
-/// convergence sweep).  Throws std::runtime_error when shards exhaust their
-/// retries (the directory stays resumable) and std::invalid_argument on a
-/// malformed spec or options.
+/// merged prefix at each checkpoint is scored and recorded by the same code
+/// the single-process paths use (evaluate_attack_checkpoint +
+/// AttackOutcome::record; scan_t + TvlaResult::record/finish on the
+/// tvla_checkpoints schedule).  Throws std::runtime_error when shards
+/// exhaust their retries (the directory stays resumable) and
+/// std::invalid_argument on a malformed spec or options.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const CoordinatorOptions& options);
 

@@ -59,15 +59,19 @@ TraceSet TraceSet::downsampled(std::size_t factor) const {
   TraceSet out(out_samples);
   std::vector<float> buf(out_samples);
   for (std::size_t i = 0; i < size(); ++i) {
-    const auto t = trace(i);
-    for (std::size_t s = 0; s < out_samples; ++s) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < factor; ++k) acc += t[s * factor + k];
-      buf[s] = static_cast<float>(acc / static_cast<double>(factor));
-    }
+    box_average(trace(i), factor, buf);
     out.add(buf, plaintexts_[i], ciphertexts_[i]);
   }
   return out;
+}
+
+void box_average(std::span<const float> in, std::size_t factor,
+                 std::span<float> out) {
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < factor; ++k) acc += in[s * factor + k];
+    out[s] = static_cast<float>(acc / static_cast<double>(factor));
+  }
 }
 
 namespace {

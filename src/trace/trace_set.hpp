@@ -2,6 +2,7 @@
 // plaintexts and observed ciphertexts the threat model grants the attacker.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -41,6 +42,16 @@ class TraceSet {
   /// preprocessing; trailing partial boxes are dropped).
   TraceSet downsampled(std::size_t factor) const;
 
+  /// Calls `fn(*this, t0, t1)` with `t1` clamped to size(), or nothing when
+  /// the range is empty: the in-RAM counterpart of TraceStore::for_range.
+  /// An in-RAM set is a single segment, so campaign code walks either
+  /// source through one loop.
+  template <class Fn>
+  void for_range(std::size_t t0, std::size_t t1, Fn&& fn) const {
+    t1 = std::min(t1, size());
+    if (t0 < t1) fn(*this, t0, t1);
+  }
+
   /// Persist/restore a campaign as a binary .rtrc file (little-endian
   /// header + plaintexts + ciphertexts + float32 trace matrix), so long
   /// acquisitions can be captured once and attacked repeatedly.
@@ -53,5 +64,12 @@ class TraceSet {
   std::vector<aes::Block> plaintexts_;
   std::vector<aes::Block> ciphertexts_;
 };
+
+/// Box average of `in` by `factor` into `out` (out.size() boxes; trailing
+/// samples that do not fill a box are dropped).  The one downsampling
+/// kernel: each box sums in double in sample order and rounds once to
+/// float, so every caller gets the same bits.
+void box_average(std::span<const float> in, std::size_t factor,
+                 std::span<float> out);
 
 }  // namespace rftc::trace

@@ -378,17 +378,4 @@ StoreVerifyResult TraceStore::verify() const {
   return res;
 }
 
-TraceSet TraceStore::prefix(std::size_t n) const {
-  const std::size_t take = std::min(n, n_traces_);
-  TraceSet set(n_samples_);
-  set.reserve(take);
-  for (std::size_t i = 0; i < n_chunks_ && set.size() < take; ++i) {
-    const TraceChunk c = chunk(i);
-    for (std::size_t k = 0; k < c.count() && set.size() < take; ++k)
-      set.add(std::vector<float>(c.trace(k).begin(), c.trace(k).end()),
-              c.plaintext(k), c.ciphertext(k));
-  }
-  return set;
-}
-
 }  // namespace rftc::trace

@@ -215,10 +215,6 @@ class TraceStore {
   /// Walks every chunk and checks its payload CRC; never throws.
   StoreVerifyResult verify() const;
 
-  /// Reads the first `n` traces into RAM (preprocessing-prefix helper —
-  /// e.g. the DTW reference / PCA fit window of the streamed attacks).
-  TraceSet prefix(std::size_t n) const;
-
  private:
   std::uint64_t chunk_offset(std::size_t i) const;
   std::size_t chunk_count_at(std::size_t i) const;

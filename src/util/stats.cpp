@@ -185,10 +185,19 @@ std::vector<double> WelchTTest::t_values() const {
   return out;
 }
 
-double WelchTTest::max_abs_t() const {
-  double m = 0.0;
-  for (const double t : t_values()) m = std::max(m, std::fabs(t));
-  return m;
+TStatScan scan_t(std::span<const double> t, double threshold) {
+  TStatScan scan;
+  for (std::size_t s = 0; s < t.size(); ++s) {
+    scan.max_t = std::max(scan.max_t, t[s]);
+    scan.min_t = std::min(scan.min_t, t[s]);
+    const double a = std::fabs(t[s]);
+    if (a > scan.max_abs_t) {
+      scan.max_abs_t = a;
+      scan.worst_sample = s;
+    }
+    if (a > threshold) ++scan.leaking_samples;
+  }
+  return scan;
 }
 
 StreamingCorrelation::StreamingCorrelation(std::size_t samples)

@@ -97,14 +97,27 @@ class WelchTTest {
 
   /// Per-sample t statistic.
   std::vector<double> t_values() const;
-  /// max |t| over all samples.
-  double max_abs_t() const;
 
  private:
   // Fixed-class and random-class raw moment sums, one lane per sample.
   std::vector<double> f_n_, f_sum_, f_sum2_;
   std::vector<double> r_n_, r_sum_, r_sum2_;
 };
+
+/// What a TVLA verdict reads off one sweep of per-sample t statistics.
+struct TStatScan {
+  double max_abs_t = 0.0;
+  /// First sample attaining max_abs_t.
+  std::size_t worst_sample = 0;
+  /// Samples with |t| strictly above the threshold.
+  std::size_t leaking_samples = 0;
+  /// Signed extrema, each clamped at 0 from the other side.
+  double max_t = 0.0;
+  double min_t = 0.0;
+};
+
+/// The one t-scan: a single pass over `t` against `threshold`.
+TStatScan scan_t(std::span<const double> t, double threshold);
 
 /// Streaming Pearson correlation accumulator between a scalar hypothesis and
 /// every sample of a trace — the CPA inner loop.  For a batch of guesses the

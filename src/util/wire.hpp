@@ -104,6 +104,9 @@ class Reader {
     bytes(reinterpret_cast<unsigned char*>(data), count * sizeof(T));
   }
 
+  /// Bytes not yet read.
+  std::size_t remaining() const { return blob_.size(); }
+
   /// Everything must be consumed: trailing bytes mean the geometry fields
   /// lied about the array sizes.
   void expect_end() const {

@@ -12,6 +12,7 @@
 #include "analysis/convergence.hpp"
 #include "analysis/tvla.hpp"
 #include "obs/checkpoints.hpp"
+#include "obs/metrics.hpp"
 #include "rftc/device.hpp"
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
@@ -175,9 +176,11 @@ TEST(Mtd, BootstrapCiIsDeterministicUnderFixedSeed) {
   const aes::Block rk10 = aes::expand_key(aes::Key{
       0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15,
       0x88, 0x09, 0xCF, 0x4F, 0x3C})[10];
+  const analysis::AttackCheckpoint scored =
+      analysis::evaluate_attack_checkpoint(engine, rk10);
   ConvergenceMonitor a, b;
-  a.observe_cpa(engine, rk10);
-  b.observe_cpa(engine, rk10);
+  a.observe_cpa(scored, engine.count());
+  b.observe_cpa(scored, engine.count());
   ASSERT_EQ(a.cpa().size(), 1u);
   const MtdEstimate& ea = a.cpa()[0].mtd;
   const MtdEstimate& eb = b.cpa()[0].mtd;
@@ -193,7 +196,7 @@ TEST(Mtd, BootstrapCiIsDeterministicUnderFixedSeed) {
   ConvergenceMonitor::Options opts;
   opts.bootstrap_seed = 0x1234;
   ConvergenceMonitor c{opts};
-  c.observe_cpa(engine, rk10);
+  c.observe_cpa(scored, engine.count());
   EXPECT_EQ(c.cpa()[0].mtd.point, ea.point);  // point estimate is seed-free
 }
 
@@ -293,6 +296,30 @@ TEST(ConvergenceMonitorInvariance, MonitorCheckpointsMatchAttackOutcome) {
   }
 }
 
+TEST(ConvergenceMonitorInvariance, MonitoredAttackMakesOneReportPerCheckpoint) {
+  // The monitor takes the checkpoint run_attack already scored, so
+  // watching convergence costs no second WHT report pass.
+  const aes::Block rk10 = aes::expand_key(monitor_key())[10];
+  const obs::Counter& reports =
+      obs::Registry::global().counter("cpa.reports");
+  for (const analysis::CpaMode mode :
+       {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
+    analysis::AttackParams params;
+    params.byte_positions = {0, 5, 10, 15};
+    params.checkpoints = {100, 200, 200, 400, 600};
+    params.engine_mode = mode;
+    ConvergenceMonitor monitor;
+    params.monitor = &monitor;
+    const std::uint64_t before = reports.value();
+    const analysis::AttackOutcome out =
+        analysis::run_attack(monitor_set(), rk10, params);
+    EXPECT_EQ(reports.value() - before, out.checkpoints.size());
+    ASSERT_EQ(monitor.cpa().size(), 5u);
+    EXPECT_EQ(monitor.cpa().back().mean_rank, out.mean_rank.back());
+    EXPECT_EQ(monitor.cpa().back().peak_corr, out.peak_corr.back());
+  }
+}
+
 TEST(ConvergenceMonitorInvariance, TvlaFinalCheckpointMatchesResult) {
   core::RftcDevice dev = core::RftcDevice::make(monitor_key(), 3, 16, 21);
   trace::PowerModelParams pm;
@@ -307,6 +334,8 @@ TEST(ConvergenceMonitorInvariance, TvlaFinalCheckpointMatchesResult) {
   ASSERT_FALSE(monitor.tvla().empty());
   const TvlaCheckpoint& last = monitor.tvla().back();
   EXPECT_EQ(last.max_abs_t, res.max_abs_t);
+  EXPECT_EQ(last.worst_sample, res.worst_sample);
+  EXPECT_EQ(last.leaking_samples, res.leaking_samples);
   EXPECT_EQ(last.traces_per_population, 300u);
   // Checkpoint trace counts are strictly increasing.
   for (std::size_t i = 1; i < monitor.tvla().size(); ++i)

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "aes/leakage.hpp"
+#include "analysis/attacks.hpp"
 #include "rftc/device.hpp"
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
@@ -48,8 +49,10 @@ TEST(CpaEngine, RecoversKeyFromSyntheticNoiselessLeakage) {
         static_cast<float>(act.cycles()[10].state_hd)};
     engine.add(ct, tr);
   }
-  EXPECT_TRUE(engine.key_recovered(rk10));
-  EXPECT_EQ(engine.mean_rank(rk10), 1.0);
+  const AttackCheckpoint ev = evaluate_attack_checkpoint(engine, rk10);
+  EXPECT_TRUE(ev.recovered);
+  EXPECT_EQ(ev.mean_rank, 1.0);
+  EXPECT_EQ(ev.max_rank, 1);
   for (const auto& rep : engine.report()) {
     EXPECT_EQ(rep.best_guess(),
               rk10[static_cast<std::size_t>(rep.byte_pos)]);
@@ -69,7 +72,7 @@ TEST(CpaEngine, FailsOnPureNoise) {
     engine.add(ct, tr);
   }
   // With 256 guesses and noise, rank 1 for a fixed guess is ~1/256 likely.
-  EXPECT_GT(engine.mean_rank(rk10), 5.0);
+  EXPECT_GT(evaluate_attack_checkpoint(engine, rk10).mean_rank, 5.0);
 }
 
 TEST(CpaEngine, RankCountsStrictlyBetterGuesses) {
@@ -102,8 +105,8 @@ TEST(CpaEngine, RecoversKeyFromSimulatedUnprotectedTraces) {
   for (std::size_t i = 0; i < set.size(); ++i)
     engine.add(set.ciphertext(i), set.trace(i));
   const aes::Block rk10 = aes::expand_key(key)[10];
-  EXPECT_TRUE(engine.key_recovered(rk10))
-      << "mean rank " << engine.mean_rank(rk10);
+  const AttackCheckpoint ev = evaluate_attack_checkpoint(engine, rk10);
+  EXPECT_TRUE(ev.recovered) << "mean rank " << ev.mean_rank;
 }
 
 TEST(CpaEngine, FirstRoundModelRecoversMasterKey) {
@@ -124,7 +127,7 @@ TEST(CpaEngine, FirstRoundModelRecoversMasterKey) {
                              static_cast<float>(h + 0.3 * rng.gaussian())};
     engine.add(pt, ct, tr);
   }
-  EXPECT_TRUE(engine.key_recovered(key));
+  EXPECT_TRUE(evaluate_attack_checkpoint(engine, key).recovered);
 }
 
 TEST(CpaEngine, FirstRoundModelRejectsCiphertextOnlyAdd) {

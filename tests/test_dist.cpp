@@ -6,6 +6,9 @@
 #include "dist/coordinator.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -26,6 +29,8 @@
 #include "trace/acquisition.hpp"
 #include "trace/trace_store.hpp"
 #include "util/stats.hpp"
+#include "util/wire.hpp"
+#include "scratch.hpp"
 
 #ifndef RFTC_TESTS_WORKER_BIN
 #define RFTC_TESTS_WORKER_BIN "rftc-worker"
@@ -61,12 +66,10 @@ class EnvGuard {
   std::optional<std::string> saved_;
 };
 
-std::string temp_dir(const char* tag) {
-  const auto p =
-      fs::temp_directory_path() / (std::string("rftc_dist_test_") + tag);
-  fs::remove_all(p);
+std::string temp_dir(const std::string& tag) {
+  const std::string p = test::scratch_path(tag);
   fs::create_directories(p);
-  return p.string();
+  return p;
 }
 
 aes::Key test_key() {
@@ -106,7 +109,8 @@ struct Corpus {
 const Corpus& corpus() {
   static const Corpus c = [] {
     Corpus c;
-    c.dir = temp_dir("corpus");
+    c.dir = test::shared_scratch_path("corpus");
+    fs::create_directories(c.dir);
     c.rk10 = aes::expand_key(test_key())[10];
     c.samples = test_factory()(0).sim.samples();
     c.attack_store = c.dir + "/attack.rtst";
@@ -439,6 +443,82 @@ TEST(DistSerialize, CpaEngineRejectsCorruptBlobs) {
                std::runtime_error);
 }
 
+/// A CRC-sealed batched last-round CPA blob whose header claims `samples`
+/// samples over all 16 bytes, followed by `payload` zero bytes.
+std::vector<unsigned char> forged_cpa_blob(std::uint64_t samples,
+                                           std::size_t payload) {
+  std::vector<unsigned char> out;
+  wire::put_magic(out, "RFTCCPA1");
+  wire::put_u32(out, 1);  // batched
+  wire::put_u32(out, 0);  // last-round HD
+  wire::put_u64(out, samples);
+  wire::put_u64(out, 16);
+  wire::put_u64(out, 0);
+  for (std::uint32_t b = 0; b < 16; ++b) wire::put_u32(out, b);
+  out.resize(out.size() + payload, 0);
+  wire::seal(out);
+  return out;
+}
+
+TEST(DistSerialize, CpaGeometryMustMatchPayloadExactly) {
+  // The arrays of 1 sample over 16 bytes: 2 * 256 * 16 hypothesis sums
+  // plus (2 + 16 * (1 + 8 * 256)) per-sample doubles.
+  const std::size_t exact = 8 * (2 * 256 * 16 + 2 + 16 * (1 + 8 * 256));
+  EXPECT_NO_THROW(analysis::CpaEngine::deserialize(forged_cpa_blob(1, exact)));
+  EXPECT_THROW(analysis::CpaEngine::deserialize(forged_cpa_blob(2, exact)),
+               std::runtime_error);
+  EXPECT_THROW(analysis::CpaEngine::deserialize(forged_cpa_blob(1, exact + 8)),
+               std::runtime_error);
+  // Sample counts whose array sizes overflow 64 bits.
+  for (const std::uint64_t samples :
+       {std::uint64_t{1} << 61, ~std::uint64_t{0}, ~std::uint64_t{0} / 8})
+    EXPECT_THROW(
+        analysis::CpaEngine::deserialize(forged_cpa_blob(samples, exact)),
+        std::runtime_error);
+}
+
+TEST(DistSerialize, CpaForgedGeometryRejectedBeforeAllocating) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "RLIMIT_AS cannot bound a sanitizer's shadow mappings";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+  GTEST_SKIP() << "RLIMIT_AS cannot bound a sanitizer's shadow mappings";
+#endif
+#endif
+  // 64 KiB of payload under a header claiming 8192 samples: class sums of
+  // that geometry take 16 * (1 + 8 * 256) * 8192 doubles, about 2 GiB.  A
+  // child with 256 MiB of address space to spare must see the blob
+  // rejected, not run out of memory allocating for it.
+  const std::vector<unsigned char> blob = forged_cpa_blob(8192, 64 * 1024);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::size_t pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    const rlim_t limit =
+        static_cast<rlim_t>(pages) * static_cast<rlim_t>(::getpagesize()) +
+        (rlim_t{256} << 20);
+    const rlimit lim{limit, limit};
+    if (::setrlimit(RLIMIT_AS, &lim) != 0) _exit(4);
+    try {
+      (void)analysis::CpaEngine::deserialize(blob);
+      _exit(1);
+    } catch (const std::runtime_error&) {
+      _exit(0);
+    } catch (const std::bad_alloc&) {
+      _exit(2);
+    } catch (...) {
+      _exit(3);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1 = accepted, 2 = std::bad_alloc (allocated before validating)";
+}
+
 TEST(DistSerialize, WelchRoundTripAndCorruptionRejected) {
   WelchTTest test(16);
   std::mt19937 rng(0xBEEF);
@@ -580,9 +660,8 @@ TEST(DistCampaign, AttackMatchesSingleProcessAcrossWorkersAndEngines) {
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                       std::size_t{4}}) {
       const std::string dir = temp_dir(
-          (std::string("attack_w") + std::to_string(workers) +
-           (mode == analysis::CpaMode::kBatched ? "_batched" : "_streaming"))
-              .c_str());
+          "attack_w" + std::to_string(workers) +
+          (mode == analysis::CpaMode::kBatched ? "_batched" : "_streaming"));
       const CampaignResult result =
           run_campaign(spec, options_for(dir, workers));
       EXPECT_GE(result.shards_total, workers);
@@ -606,8 +685,7 @@ TEST(DistCampaign, TvlaMatchesSingleProcessWithUnequalPopulations) {
   ASSERT_EQ(baseline.convergence.size(), 3u);  // 100, 250, final(384)
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
-    const std::string dir =
-        temp_dir((std::string("tvla_w") + std::to_string(workers)).c_str());
+    const std::string dir = temp_dir("tvla_w" + std::to_string(workers));
     const CampaignResult result = run_campaign(spec, options_for(dir, workers));
     expect_tvla_identical(result.tvla, baseline);
     fs::remove_all(dir);

@@ -24,16 +24,10 @@
 #include "obs/report_diff.hpp"
 #include "obs/run_manifest.hpp"
 #include "obs/sampler.hpp"
+#include "scratch.hpp"
 
 namespace rftc::obs {
 namespace {
-
-std::string temp_path(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("rftc_heartbeat_test_") + tag);
-  std::filesystem::remove_all(p);
-  return p.string();
-}
 
 std::vector<HeartbeatSnapshot> read_heartbeats(const std::string& path) {
   std::vector<HeartbeatSnapshot> out;
@@ -123,7 +117,7 @@ TEST(HeartbeatSampler, TickRoundTripsThroughParser) {
   set_campaign_total(100.0);
   publish_checkpoint("tvla", 1000.0, {{"max_abs_t", 3.5}});
 
-  const std::string sink = temp_path("roundtrip.jsonl");
+  const std::string sink = test::scratch_path("roundtrip.jsonl");
   HeartbeatSampler& sampler = HeartbeatSampler::global();
   sampler.stop();
   ASSERT_TRUE(sampler.configure(sink));
@@ -172,7 +166,7 @@ TEST(HeartbeatSampler, TickRoundTripsThroughParser) {
 
 TEST(HeartbeatSampler, BackgroundThreadTicksAndStopTakesAFinalOne) {
   Registry::global().reset_values();
-  const std::string sink = temp_path("thread.jsonl");
+  const std::string sink = test::scratch_path("thread.jsonl");
   HeartbeatSampler& sampler = HeartbeatSampler::global();
   sampler.stop();
   ASSERT_TRUE(sampler.configure(sink, std::chrono::milliseconds(10)));
@@ -205,7 +199,7 @@ TEST(HeartbeatEta, AbsurdEtaClampsToUnknownSentinel) {
   Registry::global().reset_values();
   Registry::global().counter("trace.traces_captured").inc(1);
   set_campaign_total(1e18);
-  const std::string sink = temp_path("eta_absurd.jsonl");
+  const std::string sink = test::scratch_path("eta_absurd.jsonl");
   HeartbeatSampler& sampler = HeartbeatSampler::global();
   sampler.stop();
   ASSERT_TRUE(sampler.configure(sink));
@@ -227,7 +221,7 @@ TEST(HeartbeatEta, AbsurdEtaClampsToUnknownSentinel) {
 TEST(HeartbeatEta, ZeroThroughputIsUnknownNotInfinite) {
   Registry::global().reset_values();
   set_campaign_total(500.0);  // a total, but nothing captured yet
-  const std::string sink = temp_path("eta_stalled.jsonl");
+  const std::string sink = test::scratch_path("eta_stalled.jsonl");
   HeartbeatSampler& sampler = HeartbeatSampler::global();
   sampler.stop();
   ASSERT_TRUE(sampler.configure(sink));
@@ -242,7 +236,7 @@ TEST(HeartbeatEta, CompletedCampaignReportsZeroEta) {
   Registry::global().reset_values();
   Registry::global().counter("trace.traces_captured").inc(150);
   set_campaign_total(100.0);  // over-capture must not go negative
-  const std::string sink = temp_path("eta_done.jsonl");
+  const std::string sink = test::scratch_path("eta_done.jsonl");
   HeartbeatSampler& sampler = HeartbeatSampler::global();
   sampler.stop();
   ASSERT_TRUE(sampler.configure(sink));
@@ -259,7 +253,7 @@ TEST(HeartbeatSampler, UnconfiguredTickFails) {
   sampler.stop();
   // Configure to a fresh path, then simulate an unopenable sink: a path
   // under a file (not a directory) cannot be created.
-  const std::string file = temp_path("not_a_dir");
+  const std::string file = test::scratch_path("not_a_dir");
   { std::ofstream out(file); }
   ASSERT_TRUE(sampler.configure(file + "/sub/hb.jsonl"));
   EXPECT_FALSE(sampler.tick_now());
@@ -432,7 +426,7 @@ TEST(BenchReportSchema3, PhasesBlockRoundTripsThroughParser) {
 }
 
 TEST(ArtifactRouting, AllFourArtifactKindsLandUnderBenchDir) {
-  const std::string dir = temp_path("routing_dir");
+  const std::string dir = test::scratch_path("routing_dir");
   EnvGuard guard("RFTC_BENCH_DIR", dir);
 
   // 1+2: bench report JSON and the runs/ manifest.
@@ -450,7 +444,7 @@ TEST(ArtifactRouting, AllFourArtifactKindsLandUnderBenchDir) {
             dir + "/sub/metrics.json");
   EXPECT_TRUE(std::filesystem::exists(dir + "/sub/metrics.json"));
   // Absolute paths bypass the routing.
-  const std::string abs = temp_path("absolute.json");
+  const std::string abs = test::scratch_path("absolute.json");
   EXPECT_EQ(write_artifact(abs, "{}\n"), abs);
   std::filesystem::remove(abs);
 

@@ -12,16 +12,10 @@
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
+#include "scratch.hpp"
 
 namespace rftc::obs::log {
 namespace {
-
-std::string temp_path(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("rftc_log_test_") + tag);
-  std::filesystem::remove_all(p);
-  return p.string();
-}
 
 std::vector<std::string> read_lines(const std::string& path) {
   std::vector<std::string> out;
@@ -124,7 +118,7 @@ TEST_F(LogTest, DisabledEmitRecordsNothing) {
 
 TEST_F(LogTest, FileSinkWritesValidJsonlWithArgs) {
   configure(parse_spec("trace"));
-  const std::string path = temp_path("jsonl");
+  const std::string path = test::scratch_path("jsonl");
   ASSERT_TRUE(set_file_sink(path));
   EXPECT_EQ(file_sink_path(), path);
   warn("clk", "lock failed", {kv("mmcm", 1.0), kv("cfg", "m\"8\"\n")});
@@ -151,7 +145,7 @@ TEST_F(LogTest, FileSinkWritesValidJsonlWithArgs) {
 
 TEST_F(LogTest, ConcurrentWritersEmitOneValidObjectPerLine) {
   configure(parse_spec("debug"));
-  const std::string path = temp_path("concurrent");
+  const std::string path = test::scratch_path("concurrent");
   ASSERT_TRUE(set_file_sink(path));
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
@@ -233,7 +227,7 @@ TEST_F(LogTest, RingBoundsRecordsPerThread) {
 
 TEST_F(LogTest, LongMessagesAndSubsystemsAreTruncatedSafely) {
   configure(parse_spec("debug"));
-  const std::string path = temp_path("trunc");
+  const std::string path = test::scratch_path("trunc");
   ASSERT_TRUE(set_file_sink(path));
   const std::string long_msg(400, 'x');
   emit(Level::kInfo, "a_subsystem_name_way_past_the_cap", long_msg);

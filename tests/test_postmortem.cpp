@@ -18,16 +18,10 @@
 #include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/postmortem.hpp"
+#include "scratch.hpp"
 
 namespace rftc::obs {
 namespace {
-
-std::string temp_path(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("rftc_postmortem_test_") + tag);
-  std::filesystem::remove_all(p);
-  return p.string();
-}
 
 json::Value parse_bundle(const std::string& path) {
   std::ifstream in(path);
@@ -70,7 +64,7 @@ TEST(PhaseIntrospection, PhaseStackIsOutermostFirstAndBounded) {
 
 TEST(Postmortem, ArmResolvesPathAndDisarms) {
   EXPECT_FALSE(write_postmortem("unarmed", 0, nullptr));
-  const std::string path = temp_path("arm");
+  const std::string path = test::scratch_path("arm");
   ASSERT_TRUE(arm_postmortem(path));
   EXPECT_TRUE(postmortem_armed());
   EXPECT_EQ(postmortem_path(), path);
@@ -81,7 +75,7 @@ TEST(Postmortem, ArmResolvesPathAndDisarms) {
 }
 
 TEST(Postmortem, WriteBundleContainsProcessState) {
-  const std::string path = temp_path("direct");
+  const std::string path = test::scratch_path("direct");
   ASSERT_TRUE(arm_postmortem(path));
   Registry::global().counter("test.postmortem.bump").inc(7);
   log::configure(log::parse_spec("debug"));
@@ -130,7 +124,7 @@ TEST(Postmortem, WriteBundleContainsProcessState) {
 }
 
 TEST(Postmortem, SecondWriteOverwritesFirst) {
-  const std::string path = temp_path("overwrite");
+  const std::string path = test::scratch_path("overwrite");
   ASSERT_TRUE(arm_postmortem(path));
   ASSERT_TRUE(write_postmortem("first", 0, nullptr));
   ASSERT_TRUE(write_postmortem("second", 0, nullptr));
@@ -143,7 +137,7 @@ TEST(Postmortem, SecondWriteOverwritesFirst) {
 // PhaseScope and the async-signal-safe handler must leave behind a bundle
 // the parent can parse and attribute.
 TEST(Postmortem, ForkedSigsegvProducesBundleNamingThePhase) {
-  const std::string path = temp_path("sigsegv");
+  const std::string path = test::scratch_path("sigsegv");
   // Arm in the parent so singleton construction, path resolution and
   // provenance serialization happen before fork(); the child inherits the
   // handlers and the pre-reserved buffers.

@@ -13,6 +13,7 @@
 #include "obs/bench_report.hpp"
 #include "obs/report_diff.hpp"
 #include "obs/run_manifest.hpp"
+#include "scratch.hpp"
 
 namespace rftc::obs {
 namespace {
@@ -37,13 +38,6 @@ class BenchDirGuard {
   std::string saved_;
   bool had_ = false;
 };
-
-std::string temp_dir(const char* tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   (std::string("rftc_report_test_") + tag);
-  std::filesystem::remove_all(dir);
-  return dir.string();
-}
 
 RunManifest sample_manifest() {
   Provenance prov;
@@ -93,7 +87,7 @@ TEST(RunManifest, ParsesBackIntoAnArtifact) {
 }
 
 TEST(RunManifest, WritesUnderRftcBenchDir) {
-  const std::string dir = temp_dir("manifest");
+  const std::string dir = test::scratch_path("manifest");
   BenchDirGuard guard(dir);
   const RunManifest m = sample_manifest();
   EXPECT_EQ(m.path(), dir + "/runs/sample.jsonl");
@@ -103,7 +97,7 @@ TEST(RunManifest, WritesUnderRftcBenchDir) {
 }
 
 TEST(BenchReport, WritesReportAndManifestUnderRftcBenchDir) {
-  const std::string dir = temp_dir("bench");
+  const std::string dir = test::scratch_path("bench");
   BenchDirGuard guard(dir);
   BenchReport report("routing");
   report.seed(7);

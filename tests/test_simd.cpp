@@ -352,7 +352,7 @@ std::vector<double> welch_signature(const Campaign& c, std::size_t grain) {
     }
   }
   std::vector<double> sig = tt.t_values();
-  sig.push_back(tt.max_abs_t());
+  sig.push_back(scan_t(sig, 4.5).max_abs_t);
   sig.push_back(static_cast<double>(tt.fixed_count()));
   sig.push_back(static_cast<double>(tt.random_count()));
   return sig;

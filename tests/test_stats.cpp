@@ -115,7 +115,10 @@ TEST(WelchTTest, PerSampleDetection) {
   EXPECT_LT(std::fabs(t[0]), 4.5);
   EXPECT_LT(std::fabs(t[1]), 4.5);
   EXPECT_LT(std::fabs(t[3]), 4.5);
-  EXPECT_GT(test.max_abs_t(), 4.5);
+  const TStatScan scan = scan_t(t, 4.5);
+  EXPECT_GT(scan.max_abs_t, 4.5);
+  EXPECT_EQ(scan.worst_sample, 2u);
+  EXPECT_EQ(scan.leaking_samples, 1u);
   EXPECT_EQ(test.fixed_count(), 3'000u);
   EXPECT_EQ(test.random_count(), 3'000u);
 }

@@ -21,16 +21,10 @@
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
 #include "util/parallel.hpp"
+#include "scratch.hpp"
 
 namespace rftc::trace {
 namespace {
-
-std::string temp_store(const char* tag) {
-  const auto p = std::filesystem::temp_directory_path() /
-                 (std::string("rftc_store_test_") + tag + ".rtst");
-  std::filesystem::remove(p);
-  return p.string();
-}
 
 aes::Key test_key() {
   aes::Key k{};
@@ -70,7 +64,7 @@ void expect_store_equals_set(const TraceStore& store, const TraceSet& set) {
 }
 
 TEST(TraceStore, WriterRoundTripsAcrossChunkBoundaries) {
-  const std::string path = temp_store("roundtrip");
+  const std::string path = test::scratch_path("roundtrip.rtst");
   TraceSet set(5);
   // 10 traces, chunk size 4 -> chunks of 4, 4, 2.
   for (std::size_t i = 0; i < 10; ++i) {
@@ -98,17 +92,23 @@ TEST(TraceStore, WriterRoundTripsAcrossChunkBoundaries) {
   const StoreVerifyResult v = store.verify();
   EXPECT_TRUE(v.ok) << v.error;
   EXPECT_EQ(v.chunks_checked, 3u);
-  // prefix() materializes exactly the leading traces.
-  const TraceSet head = store.prefix(6);
-  ASSERT_EQ(head.size(), 6u);
-  for (std::size_t i = 0; i < 6; ++i)
-    EXPECT_EQ(0, std::memcmp(head.trace(i).data(), set.trace(i).data(),
-                             set.samples() * sizeof(float)));
+  // for_range() visits exactly [t0, t1), chunk by chunk, in order.
+  std::vector<std::size_t> seen;
+  store.for_range(3, 9,
+                  [&](const TraceChunk& c, std::size_t k0, std::size_t k1) {
+                    for (std::size_t k = k0; k < k1; ++k) {
+                      seen.push_back(c.first() + k);
+                      EXPECT_EQ(0, std::memcmp(c.trace(k).data(),
+                                               set.trace(c.first() + k).data(),
+                                               set.samples() * sizeof(float)));
+                    }
+                  });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8}));
   std::filesystem::remove(path);
 }
 
 TEST(TraceStore, RejectsGarbageTruncationAndUnfinalized) {
-  const std::string path = temp_store("reject");
+  const std::string path = test::scratch_path("reject.rtst");
   // Garbage magic.
   {
     std::ofstream f(path, std::ios::binary);
@@ -169,7 +169,7 @@ TEST(TraceStoreDurability, WriterKilledBeforeFinalizeIsDetectedOnOpen) {
   // (no destructors, no flush) before finalize() — the header must still
   // carry the open sentinel, so readers reject the torn store instead of
   // analyzing a silently truncated corpus.
-  const std::string path = temp_store("kill_before_finalize");
+  const std::string path = test::scratch_path("kill_before_finalize.rtst");
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -191,7 +191,7 @@ TEST(TraceStoreDurability, FinalizedStoreSurvivesWriterDeath) {
   // reach disk ahead of its chunks, making a post-crash store look
   // finalized while carrying torn payloads).  Once finalize() returns, the
   // writer process dying must not matter.
-  const std::string path = temp_store("kill_after_finalize");
+  const std::string path = test::scratch_path("kill_after_finalize.rtst");
   const TraceSet set = durability_set();
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
@@ -213,7 +213,7 @@ TEST(TraceStoreDurability, FinalizedStoreSurvivesWriterDeath) {
 }
 
 TEST(TraceStore, VerifyCatchesPayloadCorruption) {
-  const std::string path = temp_store("corrupt");
+  const std::string path = test::scratch_path("corrupt.rtst");
   {
     TraceStoreWriter w(path, 6, 8);
     TraceSet set(6);
@@ -252,7 +252,7 @@ TEST(TraceStore, VerifyCatchesPayloadCorruption) {
 }
 
 TEST(TraceStore, VerifyReportsEveryCorruptChunkInOnePass) {
-  const std::string path = temp_store("multicorrupt");
+  const std::string path = test::scratch_path("multicorrupt.rtst");
   {
     TraceStoreWriter w(path, 6, 8);
     TraceSet set(6);
@@ -299,7 +299,7 @@ TEST(TraceStore, VerifyReportsEveryCorruptChunkInOnePass) {
 TEST(TraceStore, StreamedAcquisitionMatchesParallelGolden) {
   // The store acquisition path must write byte-identical traces to the
   // merged in-RAM path for the same factory/seed/shard size.
-  const std::string path = temp_store("acq");
+  const std::string path = test::scratch_path("acq.rtst");
   const std::size_t n = 300, shard = 64;
   const TraceSet golden =
       acquire_random_parallel(test_factory(), n, 0xBEEF, shard);
@@ -314,8 +314,8 @@ TEST(TraceStore, StreamedAcquisitionMatchesParallelGolden) {
 }
 
 TEST(TraceStore, StreamedTvlaAcquisitionMatchesParallelGolden) {
-  const std::string fpath = temp_store("tvla_f");
-  const std::string rpath = temp_store("tvla_r");
+  const std::string fpath = test::scratch_path("tvla_f.rtst");
+  const std::string rpath = test::scratch_path("tvla_r.rtst");
   aes::Block fixed_pt{};
   for (int i = 0; i < 16; ++i)
     fixed_pt[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i * 17);
@@ -347,7 +347,7 @@ class StreamedAnalysis : public ::testing::Test {
   }
   static const std::string& store_path() {
     static std::string path = [] {
-      std::string p = temp_store("analysis");
+      std::string p = test::shared_scratch_path("analysis.rtst");
       // Chunk size deliberately prime-ish and misaligned with every batch,
       // checkpoint and thread count in the tests below.
       TraceStoreWriter w(p, corpus().samples(), 177);
@@ -366,24 +366,40 @@ TEST_F(StreamedAnalysis, CpaBitIdenticalToInRamAcrossEnginesAndThreads) {
     par::set_thread_count(threads);
     for (const analysis::CpaMode mode :
          {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
-      analysis::AttackParams params;
-      params.kind = analysis::AttackKind::kCpa;
-      params.engine_mode = mode;
-      params.byte_positions = {0, 7, 15};
-      params.checkpoints = {250, 700, kTraces};
-      const analysis::AttackOutcome ram =
-          run_attack(corpus(), rk10, params);
-      const analysis::AttackOutcome ooc = run_attack(store, rk10, params);
-      ASSERT_EQ(ram.checkpoints, ooc.checkpoints);
-      ASSERT_EQ(ram.success, ooc.success);
-      for (std::size_t i = 0; i < ram.checkpoints.size(); ++i) {
-        // Bit-identical, not approximately equal: the streamed path must
-        // feed the same floats through the same accumulators in the same
-        // order.
-        EXPECT_EQ(ram.mean_rank[i], ooc.mean_rank[i])
-            << "threads=" << threads << " cp=" << ram.checkpoints[i];
-        EXPECT_EQ(ram.peak_corr[i], ooc.peak_corr[i])
-            << "threads=" << threads << " cp=" << ram.checkpoints[i];
+      for (const std::size_t downsample : {std::size_t{1}, std::size_t{4}}) {
+        analysis::AttackParams params;
+        params.kind = analysis::AttackKind::kCpa;
+        params.engine_mode = mode;
+        params.downsample = downsample;
+        params.byte_positions = {0, 7, 15};
+        params.checkpoints = {250, 700, kTraces};
+        const analysis::AttackOutcome ram =
+            run_attack(corpus(), rk10, params);
+        const analysis::AttackOutcome ooc = run_attack(store, rk10, params);
+        ASSERT_EQ(ram.checkpoints, ooc.checkpoints);
+        ASSERT_EQ(ram.success, ooc.success);
+        // Independent reference: the TraceSet::downsampled copy fed to an
+        // engine trace by trace.
+        const TraceSet ds = corpus().downsampled(downsample);
+        analysis::CpaEngine ref(ds.samples(), params.byte_positions,
+                                params.leakage, mode);
+        std::size_t fed = 0;
+        for (std::size_t i = 0; i < ram.checkpoints.size(); ++i) {
+          for (; fed < ram.checkpoints[i]; ++fed)
+            ref.add(ds.plaintext(fed), ds.ciphertext(fed), ds.trace(fed));
+          const analysis::AttackCheckpoint want =
+              analysis::evaluate_attack_checkpoint(ref, rk10);
+          SCOPED_TRACE("threads=" + std::to_string(threads) + " downsample=" +
+                       std::to_string(downsample) +
+                       " cp=" + std::to_string(ram.checkpoints[i]));
+          // Bit-identical, not approximately equal: every path must feed
+          // the same floats through the same accumulators in the same
+          // order.
+          EXPECT_EQ(ram.mean_rank[i], want.mean_rank);
+          EXPECT_EQ(ram.peak_corr[i], want.peak_corr);
+          EXPECT_EQ(ooc.mean_rank[i], want.mean_rank);
+          EXPECT_EQ(ooc.peak_corr[i], want.peak_corr);
+        }
       }
     }
   }
@@ -420,8 +436,8 @@ TEST(TraceStoreTvla, StreamedTvlaBitIdenticalToInRam) {
   const std::size_t n = 500;
   const TvlaCapture cap =
       acquire_tvla_parallel(test_factory(), n, fixed_pt, 0xD1CE, 128);
-  const std::string fpath = temp_store("tvla_ooc_f");
-  const std::string rpath = temp_store("tvla_ooc_r");
+  const std::string fpath = test::scratch_path("tvla_ooc_f.rtst");
+  const std::string rpath = test::scratch_path("tvla_ooc_r.rtst");
   {
     TraceStoreWriter wf(fpath, cap.fixed.samples(), 93);
     TraceStoreWriter wr(rpath, cap.random.samples(), 93);
@@ -454,7 +470,8 @@ TEST(TraceStoreTvla, StreamedTvlaBitIdenticalToInRam) {
 
 TEST(TraceStoreWriterApi, AddAndAppendAgree) {
   // Feeding traces one at a time must produce the same file as append().
-  const std::string p1 = temp_store("add"), p2 = temp_store("append");
+  const std::string p1 = test::scratch_path("add.rtst");
+  const std::string p2 = test::scratch_path("append.rtst");
   TraceSet set(4);
   for (std::size_t i = 0; i < 11; ++i)
     set.add(std::vector<float>{1.f * i, 2.f * i, 3.f * i, 4.f * i},
