@@ -1,8 +1,10 @@
 #include "trace/acquisition.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "obs/phase_timer.hpp"
@@ -12,10 +14,6 @@
 namespace rftc::trace {
 
 namespace {
-
-/// Emit a campaign-progress instant every 2^12 captures — frequent enough
-/// to see acquisition pace in a trace, rare enough to cost nothing.
-constexpr std::size_t kProgressMask = (1u << 12) - 1;
 
 obs::Counter& captured_counter() {
   static obs::Counter& c =
@@ -29,6 +27,83 @@ obs::Counter& faulted_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("trace.faulted_encryptions");
   return c;
+}
+
+/// The one capture loop behind every acquire_* entry point: `n_fixed`
+/// encryptions of `fixed_plaintext` into `fixed`, interleaved in random
+/// order with `n_random` random-plaintext ones into `random`.  A coin is
+/// drawn only while both quotas remain, so a random campaign
+/// (n_fixed == 0) consumes exactly one random_block() per trace.
+void capture(const Encryptor& encryptor, TraceSimulator& sim,
+             std::size_t n_fixed, std::size_t n_random,
+             const aes::Block& fixed_plaintext, Xoshiro256StarStar& rng,
+             TraceSet& fixed, TraceSet& random) {
+  obs::Counter& captured = captured_counter();
+  obs::Counter& faulted = faulted_counter();
+  while (n_fixed > 0 || n_random > 0) {
+    // Random interleave so environmental drift cannot separate the sets.
+    const bool take_fixed =
+        n_fixed > 0 && (n_random == 0 || (rng.next() & 1) != 0);
+    const aes::Block pt = take_fixed ? fixed_plaintext : random_block(rng);
+    const core::EncryptionRecord rec = encryptor(pt);
+    (take_fixed ? fixed : random)
+        .add(sim.simulate(rec.schedule, rec.activity), pt, rec.ciphertext);
+    --(take_fixed ? n_fixed : n_random);
+    captured.inc();
+    if (rec.fault_flips > 0) faulted.inc();
+  }
+}
+
+/// The shard's plaintext substream: `seed` advanced by `shard_index`
+/// jumps (each jump is 2^128 draws, so substreams cannot overlap).
+Xoshiro256StarStar shard_stream(std::uint64_t seed, std::size_t shard_index) {
+  Xoshiro256StarStar rng(seed);
+  for (std::size_t j = 0; j < shard_index; ++j) rng.jump();
+  return rng;
+}
+
+/// The one shard driver behind the in-RAM and out-of-core campaigns.
+/// Shard j captures [j·shard_size, (j+1)·shard_size) of [0, total) with
+/// factory(j) and the j-th substream of `seed` — random plaintexts only
+/// when `fixed_plaintext` is null, else that many fixed-vs-random pairs.
+/// Groups of `thread_count` shards run in parallel, and each shard's
+/// capture is handed to `sink` in strict shard order, so only one group is
+/// resident besides whatever the sink keeps.
+template <typename Sink>
+void capture_shards(const CaptureShardFactory& factory, std::size_t total,
+                    std::size_t shard_size, std::uint64_t seed,
+                    const aes::Block* fixed_plaintext, Sink&& sink) {
+  const std::size_t group = par::thread_count() * shard_size;
+  for (std::size_t g0 = 0; g0 < total; g0 += group) {
+    const std::size_t g1 = std::min(total, g0 + group);
+    std::vector<std::optional<TvlaCapture>> parts(
+        par::shard_count(g0, g1, shard_size));
+    par::parallel_for(g0, g1, shard_size, [&](std::size_t b, std::size_t e) {
+      CaptureShard shard = factory(b / shard_size);
+      Xoshiro256StarStar rng = shard_stream(seed, b / shard_size);
+      const std::size_t n_fixed = fixed_plaintext ? e - b : 0;
+      TvlaCapture& cap = parts[(b - g0) / shard_size].emplace(
+          TvlaCapture{TraceSet(shard.sim.samples()),
+                      TraceSet(shard.sim.samples())});
+      cap.fixed.reserve(n_fixed);
+      cap.random.reserve(e - b);
+      capture(shard.encryptor, shard.sim, n_fixed, e - b,
+              fixed_plaintext ? *fixed_plaintext : aes::Block{}, rng,
+              cap.fixed, cap.random);
+    });
+    for (auto& p : parts) sink(std::move(*p));
+  }
+}
+
+/// In-RAM sink: the first shard sizes `out` for the whole `n`-trace
+/// population, every shard appends in order.
+void append_reserved(std::optional<TraceSet>& out, const TraceSet& part,
+                     std::size_t n) {
+  if (!out) {
+    out.emplace(part.samples());
+    out->reserve(n);
+  }
+  out->append(part);
 }
 
 }  // namespace
@@ -49,20 +124,9 @@ TraceSet acquire_random(const Encryptor& encryptor, TraceSimulator& sim,
   obs::PhaseScope phase(obs::kPhaseCapture);
   RFTC_OBS_SPAN(span, "trace", "acquire_random");
   span.arg("n", static_cast<double>(n));
-  obs::Counter& captured = captured_counter();
-  obs::Counter& faulted = faulted_counter();
   TraceSet set(sim.samples());
-  for (std::size_t i = 0; i < n; ++i) {
-    const aes::Block pt = random_block(rng);
-    const core::EncryptionRecord rec = encryptor(pt);
-    set.add(sim.simulate(rec.schedule, rec.activity), pt, rec.ciphertext);
-    captured.inc();
-    if (rec.fault_flips > 0) faulted.inc();
-    if ((i & kProgressMask) == kProgressMask)
-      RFTC_OBS_INSTANT("trace", "acquire_random.progress",
-                       {"captured", static_cast<double>(i + 1)},
-                       {"of", static_cast<double>(n)});
-  }
+  set.reserve(n);
+  capture(encryptor, sim, 0, n, aes::Block{}, rng, set, set);
   return set;
 }
 
@@ -73,136 +137,13 @@ TvlaCapture acquire_tvla(const Encryptor& encryptor, TraceSimulator& sim,
   obs::PhaseScope phase(obs::kPhaseCapture);
   RFTC_OBS_SPAN(span, "trace", "acquire_tvla");
   span.arg("n_per_population", static_cast<double>(n_per_population));
-  obs::Counter& captured = captured_counter();
-  obs::Counter& faulted = faulted_counter();
-  std::size_t done = 0;
   TvlaCapture cap{TraceSet(sim.samples()), TraceSet(sim.samples())};
-  std::size_t remaining_fixed = n_per_population;
-  std::size_t remaining_random = n_per_population;
-  while (remaining_fixed > 0 || remaining_random > 0) {
-    // Random interleave so environmental drift cannot separate the sets.
-    bool take_fixed;
-    if (remaining_fixed == 0) {
-      take_fixed = false;
-    } else if (remaining_random == 0) {
-      take_fixed = true;
-    } else {
-      take_fixed = (rng.next() & 1) != 0;
-    }
-    const aes::Block pt = take_fixed ? fixed_plaintext : random_block(rng);
-    const core::EncryptionRecord rec = encryptor(pt);
-    if (rec.fault_flips > 0) faulted.inc();
-    auto tr = sim.simulate(rec.schedule, rec.activity);
-    if (take_fixed) {
-      cap.fixed.add(std::move(tr), pt, rec.ciphertext);
-      --remaining_fixed;
-    } else {
-      cap.random.add(std::move(tr), pt, rec.ciphertext);
-      --remaining_random;
-    }
-    captured.inc();
-    if ((++done & kProgressMask) == kProgressMask)
-      RFTC_OBS_INSTANT("trace", "acquire_tvla.progress",
-                       {"captured", static_cast<double>(done)},
-                       {"of", static_cast<double>(2 * n_per_population)});
-  }
+  cap.fixed.reserve(n_per_population);
+  cap.random.reserve(n_per_population);
+  capture(encryptor, sim, n_per_population, n_per_population, fixed_plaintext,
+          rng, cap.fixed, cap.random);
   return cap;
 }
-
-namespace {
-
-/// The shard's plaintext substream: `seed` advanced by `shard_index`
-/// jumps (each jump is 2^128 draws, so substreams cannot overlap).
-Xoshiro256StarStar shard_stream(std::uint64_t seed, std::size_t shard_index) {
-  Xoshiro256StarStar rng(seed);
-  for (std::size_t j = 0; j < shard_index; ++j) rng.jump();
-  return rng;
-}
-
-/// Shard body shared by the in-RAM and out-of-core random campaigns: the
-/// store path MUST produce byte-identical traces to the merged TraceSet
-/// path, which it gets for free by running the exact same code per shard.
-TraceSet capture_random_shard(const CaptureShardFactory& factory,
-                              std::uint64_t seed, std::size_t b, std::size_t e,
-                              std::size_t shard_size) {
-  CaptureShard shard = factory(b / shard_size);
-  Xoshiro256StarStar rng = shard_stream(seed, b / shard_size);
-  TraceSet set(shard.sim.samples());
-  set.reserve(e - b);
-  obs::Counter& captured = captured_counter();
-  obs::Counter& faulted = faulted_counter();
-  for (std::size_t i = b; i < e; ++i) {
-    const aes::Block pt = random_block(rng);
-    const core::EncryptionRecord rec = shard.encryptor(pt);
-    set.add(shard.sim.simulate(rec.schedule, rec.activity), pt,
-            rec.ciphertext);
-    captured.inc();
-    if (rec.fault_flips > 0) faulted.inc();
-  }
-  return set;
-}
-
-/// Shard body shared by the in-RAM and out-of-core TVLA campaigns (same
-/// bit-identity contract as capture_random_shard).
-TvlaCapture capture_tvla_shard(const CaptureShardFactory& factory,
-                               const aes::Block& fixed_plaintext,
-                               std::uint64_t seed, std::size_t b,
-                               std::size_t e, std::size_t shard_size) {
-  CaptureShard shard = factory(b / shard_size);
-  Xoshiro256StarStar rng = shard_stream(seed, b / shard_size);
-  TvlaCapture cap{TraceSet(shard.sim.samples()),
-                  TraceSet(shard.sim.samples())};
-  cap.fixed.reserve(e - b);
-  cap.random.reserve(e - b);
-  obs::Counter& captured = captured_counter();
-  obs::Counter& faulted = faulted_counter();
-  std::size_t remaining_fixed = e - b;
-  std::size_t remaining_random = e - b;
-  while (remaining_fixed > 0 || remaining_random > 0) {
-    bool take_fixed;
-    if (remaining_fixed == 0) {
-      take_fixed = false;
-    } else if (remaining_random == 0) {
-      take_fixed = true;
-    } else {
-      take_fixed = (rng.next() & 1) != 0;
-    }
-    const aes::Block pt = take_fixed ? fixed_plaintext : random_block(rng);
-    const core::EncryptionRecord rec = shard.encryptor(pt);
-    if (rec.fault_flips > 0) faulted.inc();
-    auto tr = shard.sim.simulate(rec.schedule, rec.activity);
-    if (take_fixed) {
-      cap.fixed.add(std::move(tr), pt, rec.ciphertext);
-      --remaining_fixed;
-    } else {
-      cap.random.add(std::move(tr), pt, rec.ciphertext);
-      --remaining_random;
-    }
-    captured.inc();
-  }
-  return cap;
-}
-
-/// Drives shards [0, total) in groups of `thread_count` through `make`
-/// (parallel within a group) and hands each shard result to `sink` in
-/// strict shard order — the bounded-memory replacement for
-/// par::sharded_reduce, which must hold every partial at once.
-template <typename Part, typename Make, typename Sink>
-void grouped_shards(std::size_t total, std::size_t shard_size, Make&& make,
-                    Sink&& sink) {
-  const std::size_t group = par::thread_count() * shard_size;
-  for (std::size_t g0 = 0; g0 < total; g0 += group) {
-    const std::size_t g1 = std::min(total, g0 + group);
-    std::vector<std::optional<Part>> parts(
-        par::shard_count(g0, g1, shard_size));
-    par::parallel_for(g0, g1, shard_size, [&](std::size_t b, std::size_t e) {
-      parts[(b - g0) / shard_size].emplace(make(b, e));
-    });
-    for (auto& p : parts) sink(std::move(*p));
-  }
-}
-
-}  // namespace
 
 TraceSet acquire_random_parallel(const CaptureShardFactory& factory,
                                  std::size_t n, std::uint64_t seed,
@@ -213,23 +154,12 @@ TraceSet acquire_random_parallel(const CaptureShardFactory& factory,
   RFTC_OBS_SPAN(span, "trace", "acquire_random_parallel");
   span.arg("n", static_cast<double>(n));
   if (n == 0) return TraceSet(factory(0).sim.samples());
-
-  auto merged = par::sharded_reduce(
-      0, n, shard_size, std::optional<TraceSet>{},
-      [&](std::size_t b, std::size_t e) {
-        TraceSet set = capture_random_shard(factory, seed, b, e, shard_size);
-        RFTC_OBS_INSTANT("trace", "acquire_random_parallel.shard",
-                         {"first", static_cast<double>(b)},
-                         {"count", static_cast<double>(e - b)});
-        return set;
-      },
-      [](std::optional<TraceSet>& acc, std::optional<TraceSet>&& part) {
-        if (!acc)
-          acc = std::move(part);
-        else
-          acc->append(*part);
-      });
-  return std::move(*merged);
+  std::optional<TraceSet> set;
+  capture_shards(factory, n, shard_size, seed, nullptr,
+                 [&](TvlaCapture&& part) {
+                   append_reserved(set, part.random, n);
+                 });
+  return std::move(*set);
 }
 
 void acquire_random_store(const CaptureShardFactory& factory, std::size_t n,
@@ -240,15 +170,11 @@ void acquire_random_store(const CaptureShardFactory& factory, std::size_t n,
   obs::PhaseScope phase(obs::kPhaseCapture);
   RFTC_OBS_SPAN(span, "trace", "acquire_random_store");
   span.arg("n", static_cast<double>(n));
-  grouped_shards<TraceSet>(
-      n, shard_size,
-      [&](std::size_t b, std::size_t e) {
-        return capture_random_shard(factory, seed, b, e, shard_size);
-      },
-      [&](TraceSet&& part) {
-        obs::PhaseScope io(obs::kPhaseStoreIo);
-        out.append(part);
-      });
+  capture_shards(factory, n, shard_size, seed, nullptr,
+                 [&](TvlaCapture&& part) {
+                   obs::PhaseScope io(obs::kPhaseStoreIo);
+                   out.append(part.random);
+                 });
 }
 
 TvlaCapture acquire_tvla_parallel(const CaptureShardFactory& factory,
@@ -265,27 +191,13 @@ TvlaCapture acquire_tvla_parallel(const CaptureShardFactory& factory,
     const std::size_t samples = factory(0).sim.samples();
     return TvlaCapture{TraceSet(samples), TraceSet(samples)};
   }
-
-  auto merged = par::sharded_reduce(
-      0, n_per_population, shard_size, std::optional<TvlaCapture>{},
-      [&](std::size_t b, std::size_t e) {
-        TvlaCapture cap =
-            capture_tvla_shard(factory, fixed_plaintext, seed, b, e,
-                               shard_size);
-        RFTC_OBS_INSTANT("trace", "acquire_tvla_parallel.shard",
-                         {"first_pair", static_cast<double>(b)},
-                         {"pairs", static_cast<double>(e - b)});
-        return cap;
-      },
-      [](std::optional<TvlaCapture>& acc, std::optional<TvlaCapture>&& part) {
-        if (!acc) {
-          acc = std::move(part);
-        } else {
-          acc->fixed.append(part->fixed);
-          acc->random.append(part->random);
-        }
-      });
-  return std::move(*merged);
+  std::optional<TraceSet> fixed, random;
+  capture_shards(factory, n_per_population, shard_size, seed,
+                 &fixed_plaintext, [&](TvlaCapture&& part) {
+                   append_reserved(fixed, part.fixed, n_per_population);
+                   append_reserved(random, part.random, n_per_population);
+                 });
+  return TvlaCapture{std::move(*fixed), std::move(*random)};
 }
 
 void acquire_tvla_store(const CaptureShardFactory& factory,
@@ -298,17 +210,12 @@ void acquire_tvla_store(const CaptureShardFactory& factory,
   obs::PhaseScope phase(obs::kPhaseCapture);
   RFTC_OBS_SPAN(span, "trace", "acquire_tvla_store");
   span.arg("n_per_population", static_cast<double>(n_per_population));
-  grouped_shards<TvlaCapture>(
-      n_per_population, shard_size,
-      [&](std::size_t b, std::size_t e) {
-        return capture_tvla_shard(factory, fixed_plaintext, seed, b, e,
-                                  shard_size);
-      },
-      [&](TvlaCapture&& part) {
-        obs::PhaseScope io(obs::kPhaseStoreIo);
-        fixed_out.append(part.fixed);
-        random_out.append(part.random);
-      });
+  capture_shards(factory, n_per_population, shard_size, seed,
+                 &fixed_plaintext, [&](TvlaCapture&& part) {
+                   obs::PhaseScope io(obs::kPhaseStoreIo);
+                   fixed_out.append(part.fixed);
+                   random_out.append(part.random);
+                 });
 }
 
 }  // namespace rftc::trace

@@ -17,12 +17,18 @@ using Encryptor = std::function<core::EncryptionRecord(const aes::Block&)>;
 /// Draw a uniform random block.
 aes::Block random_block(Xoshiro256StarStar& rng);
 
-/// Capture `n` traces with uniform random plaintexts.
+/// Capture `n` traces with uniform random plaintexts.  Every acquire_*
+/// entry point below runs the same capture loop (encrypt, simulate,
+/// append, count `trace.traces_captured`); a random campaign is that loop
+/// with no fixed-plaintext quota, so it draws one random_block() per trace
+/// and nothing else from `rng`.
 TraceSet acquire_random(const Encryptor& encryptor, TraceSimulator& sim,
                         std::size_t n, Xoshiro256StarStar& rng);
 
 /// TVLA capture: traces for the fixed plaintext and for random plaintexts,
-/// interleaved in random order under the same key, as [6] prescribes.
+/// interleaved in random order under the same key, as [6] prescribes.  A
+/// coin from `rng` picks the population while both quotas remain; once one
+/// is spent the rest of the other follows without further coins.
 struct TvlaCapture {
   TraceSet fixed;
   TraceSet random;
@@ -52,19 +58,23 @@ using CaptureShardFactory = std::function<CaptureShard(std::size_t)>;
 inline constexpr std::size_t kCaptureShardSize = 1024;
 
 /// Parallel random-plaintext capture.  Shard j covers traces
-/// [j·shard_size, (j+1)·shard_size) and draws its plaintexts from the
+/// [j·shard_size, (j+1)·shard_size) and is exactly
+/// acquire_random(factory(j).encryptor, factory(j).sim, ...) on the
 /// j-times-jump()ed substream of `seed` (2^128 draws apart, so shards
-/// never overlap); shards merge back in index order.  The returned set is
-/// bit-identical for any thread count — but it is a different (equally
-/// random) campaign than serial acquire_random() with the same seed.
+/// never overlap).  One shard driver runs groups of `thread_count` shards
+/// in parallel and appends them in index order to a set reserved for `n`
+/// traces, so the corpus is held once plus one group in flight.  The
+/// returned set is bit-identical for any thread count; with
+/// shard_size >= n it equals serial acquire_random() on factory(0) and
+/// Xoshiro256StarStar(seed).
 TraceSet acquire_random_parallel(const CaptureShardFactory& factory,
                                  std::size_t n, std::uint64_t seed,
                                  std::size_t shard_size = kCaptureShardSize);
 
-/// Parallel TVLA capture: each shard interleaves its quota of fixed and
-/// random encryptions with its own substream (same coin-flip schedule as
-/// the serial version, per shard), and the per-population sets merge in
-/// shard order.  Same determinism contract as acquire_random_parallel.
+/// Parallel TVLA capture: shard j is acquire_tvla() on factory(j) with its
+/// own substream for its quota of pairs, and the per-population sets are
+/// appended in shard order by the same driver as acquire_random_parallel,
+/// under the same determinism contract.
 TvlaCapture acquire_tvla_parallel(const CaptureShardFactory& factory,
                                   std::size_t n_per_population,
                                   const aes::Block& fixed_plaintext,
@@ -73,13 +83,11 @@ TvlaCapture acquire_tvla_parallel(const CaptureShardFactory& factory,
 
 class TraceStoreWriter;
 
-/// Out-of-core random-plaintext capture: the same shards (same factory and
-/// substream discipline) as acquire_random_parallel, but each group of
-/// `thread_count` shards is captured in parallel and appended to `out` in
-/// shard order instead of being merged in RAM — so resident memory is
-/// O(threads · shard) while the store contents are bit-identical to the
-/// TraceSet acquire_random_parallel returns for the same (factory, n, seed,
-/// shard_size).  The caller finalizes the writer.
+/// Out-of-core random-plaintext capture: the shard driver of
+/// acquire_random_parallel with `out` as its sink instead of an in-RAM set
+/// — so resident memory is O(threads · shard) while the store contents are
+/// bit-identical to the TraceSet acquire_random_parallel returns for the
+/// same (factory, n, seed, shard_size).  The caller finalizes the writer.
 void acquire_random_store(const CaptureShardFactory& factory, std::size_t n,
                           std::uint64_t seed, TraceStoreWriter& out,
                           std::size_t shard_size = kCaptureShardSize);

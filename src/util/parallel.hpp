@@ -2,14 +2,14 @@
 //
 // Every compute layer of the attack/acquisition pipeline (CPA accumulation,
 // Welch accumulators, PCA covariance, DTW/FFT preprocessing, trace capture)
-// funnels through parallel_for / sharded_reduce.  The contract that makes
-// the whole pipeline reproducible is:
+// funnels through parallel_for.  The contract that makes the whole
+// pipeline reproducible is:
 //
 //  * Shard boundaries depend ONLY on (range, grain) — never on the worker
 //    count — so the same inputs produce the same shards under any
 //    RFTC_THREADS setting.
-//  * Shards either write disjoint outputs (parallel_for) or produce
-//    partials that are merged in shard-index order (sharded_reduce).
+//  * Shards write disjoint outputs, indexed by shard; a caller that folds
+//    per-shard partials does so after the call, in shard-index order.
 //
 // Which worker executes which shard is scheduled dynamically (work
 // stealing via an atomic cursor); because outputs are partitioned by shard
@@ -28,10 +28,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
-#include <stdexcept>
-#include <utility>
-#include <vector>
 
 namespace rftc::par {
 
@@ -60,27 +56,6 @@ inline std::size_t shard_count(std::size_t begin, std::size_t end,
   if (end <= begin) return 0;
   const std::size_t g = grain == 0 ? 1 : grain;
   return (end - begin + g - 1) / g;
-}
-
-/// Deterministic map-reduce: `make(shard_begin, shard_end)` produces one
-/// partial per shard (in parallel), and partials are folded into `init`
-/// with `merge(acc, std::move(partial))` strictly in shard-index order —
-/// so the reduction result is independent of the worker count even for
-/// non-associative merges (floating-point accumulators, trace
-/// concatenation, ...).
-template <typename T, typename Make, typename Merge>
-T sharded_reduce(std::size_t begin, std::size_t end, std::size_t grain,
-                 T init, Make&& make, Merge&& merge) {
-  const std::size_t g = grain == 0 ? 1 : grain;
-  const std::size_t shards = shard_count(begin, end, g);
-  if (shards == 0) return init;
-  std::vector<std::optional<T>> parts(shards);
-  parallel_for(begin, end, g, [&](std::size_t b, std::size_t e) {
-    parts[(b - begin) / g].emplace(make(b, e));
-  });
-  for (std::size_t i = 0; i < shards; ++i)
-    merge(init, std::move(*parts[i]));
-  return init;
 }
 
 }  // namespace rftc::par

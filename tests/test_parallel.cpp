@@ -114,35 +114,5 @@ TEST(Parallel, NestedCallsRunInline) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(Parallel, ShardedReduceMergesInShardOrder) {
-  ThreadCountGuard guard;
-  std::vector<std::size_t> reference;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    set_thread_count(threads);
-    // Concatenation is non-commutative: any out-of-order merge scrambles it.
-    auto out = sharded_reduce(
-        0, 100, 9, std::vector<std::size_t>{},
-        [](std::size_t b, std::size_t e) {
-          std::vector<std::size_t> part;
-          for (std::size_t i = b; i < e; ++i) part.push_back(i);
-          return part;
-        },
-        [](std::vector<std::size_t>& acc, std::vector<std::size_t>&& part) {
-          acc.insert(acc.end(), part.begin(), part.end());
-        });
-    ASSERT_EQ(out.size(), 100u);
-    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i);
-    if (reference.empty()) reference = out;
-    EXPECT_EQ(out, reference);
-  }
-}
-
-TEST(Parallel, ShardedReduceEmptyRangeReturnsInit) {
-  const int out = sharded_reduce(
-      4, 4, 2, 41, [](std::size_t, std::size_t) { return 1; },
-      [](int& acc, int&& part) { acc += part; });
-  EXPECT_EQ(out, 41);
-}
-
 }  // namespace
 }  // namespace rftc::par

@@ -8,6 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -61,6 +62,68 @@ void expect_store_equals_set(const TraceStore& store, const TraceSet& set) {
           << "trace " << i;
     }
   }
+}
+
+/// Exact (bit-for-bit) comparison of two in-RAM sets.
+void expect_sets_equal(const TraceSet& a, const TraceSet& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.samples(), b.samples());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.plaintext(i), b.plaintext(i)) << "trace " << i;
+    EXPECT_EQ(a.ciphertext(i), b.ciphertext(i)) << "trace " << i;
+    ASSERT_EQ(std::memcmp(a.trace(i).data(), b.trace(i).data(),
+                          a.samples() * sizeof(float)),
+              0)
+        << "trace " << i;
+  }
+}
+
+/// Shard j's plaintext stream: `seed` jumped j times.
+Xoshiro256StarStar jumped_stream(std::uint64_t seed, std::size_t j) {
+  Xoshiro256StarStar rng(seed);
+  for (std::size_t k = 0; k < j; ++k) rng.jump();
+  return rng;
+}
+
+/// Serial reference for a sharded random campaign: acquire_random on
+/// factory(j) and shard j's stream, concatenated in shard order.
+TraceSet serial_random_reference(const CaptureShardFactory& factory,
+                                 std::size_t n, std::uint64_t seed,
+                                 std::size_t shard_size) {
+  TraceSet out(factory(0).sim.samples());
+  for (std::size_t j = 0; j * shard_size < n; ++j) {
+    CaptureShard shard = factory(j);
+    Xoshiro256StarStar rng = jumped_stream(seed, j);
+    out.append(acquire_random(shard.encryptor, shard.sim,
+                              std::min(shard_size, n - j * shard_size), rng));
+  }
+  return out;
+}
+
+/// Serial reference for a sharded TVLA campaign, as above with
+/// acquire_tvla per shard.
+TvlaCapture serial_tvla_reference(const CaptureShardFactory& factory,
+                                  std::size_t n, const aes::Block& fixed_pt,
+                                  std::uint64_t seed, std::size_t shard_size) {
+  const std::size_t samples = factory(0).sim.samples();
+  TvlaCapture out{TraceSet(samples), TraceSet(samples)};
+  for (std::size_t j = 0; j * shard_size < n; ++j) {
+    CaptureShard shard = factory(j);
+    Xoshiro256StarStar rng = jumped_stream(seed, j);
+    const TvlaCapture part =
+        acquire_tvla(shard.encryptor, shard.sim,
+                     std::min(shard_size, n - j * shard_size), fixed_pt, rng);
+    out.fixed.append(part.fixed);
+    out.random.append(part.random);
+  }
+  return out;
+}
+
+aes::Block tvla_fixed_plaintext() {
+  aes::Block fixed_pt{};
+  for (int i = 0; i < 16; ++i)
+    fixed_pt[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i * 17);
+  return fixed_pt;
 }
 
 TEST(TraceStore, WriterRoundTripsAcrossChunkBoundaries) {
@@ -298,11 +361,14 @@ TEST(TraceStore, VerifyReportsEveryCorruptChunkInOnePass) {
 
 TEST(TraceStore, StreamedAcquisitionMatchesParallelGolden) {
   // The store acquisition path must write byte-identical traces to the
-  // merged in-RAM path for the same factory/seed/shard size.
+  // merged in-RAM path for the same factory/seed/shard size, and both must
+  // equal serial acquire_random run shard by shard.
   const std::string path = test::scratch_path("acq.rtst");
   const std::size_t n = 300, shard = 64;
   const TraceSet golden =
       acquire_random_parallel(test_factory(), n, 0xBEEF, shard);
+  expect_sets_equal(golden,
+                    serial_random_reference(test_factory(), n, 0xBEEF, shard));
   {
     TraceStoreWriter w(path, golden.samples(), /*chunk_traces=*/100);
     acquire_random_store(test_factory(), n, 0xBEEF, w, shard);
@@ -316,12 +382,14 @@ TEST(TraceStore, StreamedAcquisitionMatchesParallelGolden) {
 TEST(TraceStore, StreamedTvlaAcquisitionMatchesParallelGolden) {
   const std::string fpath = test::scratch_path("tvla_f.rtst");
   const std::string rpath = test::scratch_path("tvla_r.rtst");
-  aes::Block fixed_pt{};
-  for (int i = 0; i < 16; ++i)
-    fixed_pt[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i * 17);
+  const aes::Block fixed_pt = tvla_fixed_plaintext();
   const std::size_t n = 200, shard = 64;
   const TvlaCapture golden =
       acquire_tvla_parallel(test_factory(), n, fixed_pt, 0xACE, shard);
+  const TvlaCapture serial =
+      serial_tvla_reference(test_factory(), n, fixed_pt, 0xACE, shard);
+  expect_sets_equal(golden.fixed, serial.fixed);
+  expect_sets_equal(golden.random, serial.random);
   {
     TraceStoreWriter wf(fpath, golden.fixed.samples(), 96);
     TraceStoreWriter wr(rpath, golden.random.samples(), 96);
@@ -332,6 +400,52 @@ TEST(TraceStore, StreamedTvlaAcquisitionMatchesParallelGolden) {
   TraceStore fs(fpath), rs(rpath);
   expect_store_equals_set(fs, golden.fixed);
   expect_store_equals_set(rs, golden.random);
+  std::filesystem::remove(fpath);
+  std::filesystem::remove(rpath);
+}
+
+TEST(TraceStore, SerialCaptureEqualsOneShardCampaign) {
+  // With one shard covering the whole campaign, the parallel and store
+  // entry points are serial acquire_random on factory(0) and the unjumped
+  // seed stream.
+  const std::string path = test::scratch_path("one_shard.rtst");
+  const std::size_t n = 150;
+  CaptureShard shard = test_factory()(0);
+  Xoshiro256StarStar rng(0x5EED);
+  const TraceSet serial = acquire_random(shard.encryptor, shard.sim, n, rng);
+  expect_sets_equal(serial,
+                    acquire_random_parallel(test_factory(), n, 0x5EED, n));
+  {
+    TraceStoreWriter w(path, serial.samples(), /*chunk_traces=*/64);
+    acquire_random_store(test_factory(), n, 0x5EED, w, n);
+    w.finalize();
+  }
+  expect_store_equals_set(TraceStore(path), serial);
+  std::filesystem::remove(path);
+}
+
+TEST(TraceStore, SerialTvlaCaptureEqualsOneShardCampaign) {
+  const std::string fpath = test::scratch_path("one_shard_f.rtst");
+  const std::string rpath = test::scratch_path("one_shard_r.rtst");
+  const aes::Block fixed_pt = tvla_fixed_plaintext();
+  const std::size_t n = 120;
+  CaptureShard shard = test_factory()(0);
+  Xoshiro256StarStar rng(0x7E57);
+  const TvlaCapture serial =
+      acquire_tvla(shard.encryptor, shard.sim, n, fixed_pt, rng);
+  const TvlaCapture parallel =
+      acquire_tvla_parallel(test_factory(), n, fixed_pt, 0x7E57, n);
+  expect_sets_equal(serial.fixed, parallel.fixed);
+  expect_sets_equal(serial.random, parallel.random);
+  {
+    TraceStoreWriter wf(fpath, serial.fixed.samples(), 64);
+    TraceStoreWriter wr(rpath, serial.random.samples(), 64);
+    acquire_tvla_store(test_factory(), n, fixed_pt, 0x7E57, wf, wr, n);
+    wf.finalize();
+    wr.finalize();
+  }
+  expect_store_equals_set(TraceStore(fpath), serial.fixed);
+  expect_store_equals_set(TraceStore(rpath), serial.random);
   std::filesystem::remove(fpath);
   std::filesystem::remove(rpath);
 }
