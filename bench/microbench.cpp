@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "rftc/frequency_planner.hpp"
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
+#include "util/crc32.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -204,6 +206,28 @@ void BM_PlanFrequencies(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanFrequencies)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
+/// `n` random bytes for the CRC-32 benches (the kernels are data-oblivious;
+/// random contents just keep the compiler honest).
+std::vector<std::uint8_t> crc_buffer(std::size_t n) {
+  std::vector<std::uint8_t> buf(n);
+  Xoshiro256StarStar rng(0xC4C);
+  for (std::size_t i = 0; i < n; i += 8) {
+    const std::uint64_t word = rng.next();
+    std::memcpy(buf.data() + i, &word, std::min<std::size_t>(8, n - i));
+  }
+  return buf;
+}
+
+/// CRC-32 on the active backend of a small blob (4 KiB), a store-chunk-
+/// scale buffer (1 MiB) and a dist-snapshot-scale one (32 MiB).
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<std::uint8_t> buf = crc_buffer(n);
+  for (auto _ : state) benchmark::DoNotOptimize(util::crc32(buf.data(), n));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20)->Arg(32 << 20);
+
 /// Deterministic 1-NN template-matching workload for the DTW early-abandon
 /// gate: one query plus `count` candidates at paper-scale lengths.
 /// Candidate 0 is a near-duplicate of the query so the best-so-far cutoff
@@ -308,6 +332,50 @@ bool run_dtw_speedup_gate(obs::BenchReport& report) {
   return true;
 }
 
+/// Self-gating CRC-32 benchmark: times the active backend against the
+/// scalar byte table on one 8 MiB buffer (best of 5 each) and fails the
+/// bench if the two CRCs differ or, with the AVX2 backend active, if the
+/// PCLMULQDQ fold is less than 4x faster.
+bool run_crc32_speedup_gate(obs::BenchReport& report) {
+  constexpr std::size_t kBytes = std::size_t{8} << 20;
+  constexpr int kRepeats = 5;
+  const std::vector<std::uint8_t> buf = crc_buffer(kBytes);
+  const simd::Backend active = simd::backend();
+  auto best_of = [&](simd::Backend b, std::uint32_t* crc) {
+    simd::set_backend(b);
+    double best = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < kRepeats; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      *crc = util::crc32(buf.data(), kBytes);
+      const auto t1 = std::chrono::steady_clock::now();
+      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    }
+    return best;
+  };
+  std::uint32_t crc_scalar = 0;
+  std::uint32_t crc_active = 0;
+  const double scalar = best_of(simd::Backend::kScalar, &crc_scalar);
+  const double fast = best_of(active, &crc_active);
+  simd::set_backend(active);
+  const double speedup = scalar / fast;
+  report.metric("crc32_speedup_vs_scalar", speedup, "x");
+  const double mib = static_cast<double>(kBytes) / (1 << 20);
+  std::printf(
+      "CRC-32 (%.0f MiB): scalar %.0f MiB/s, %s %.0f MiB/s, speedup %.1fx\n",
+      mib, mib / scalar, simd::backend_name(), mib / fast, speedup);
+  if (crc_active != crc_scalar) {
+    std::fprintf(stderr, "FAIL: %s CRC-32 %08x != scalar %08x\n",
+                 simd::backend_name(), crc_active, crc_scalar);
+    return false;
+  }
+  if (active == simd::Backend::kAvx2 && speedup < 4.0) {
+    std::fprintf(stderr,
+                 "FAIL: CRC-32 speedup %.2fx below the 4x gate\n", speedup);
+    return false;
+  }
+  return true;
+}
+
 /// Console output plus per-benchmark metrics captured into the bench
 /// report.  BM_TraceSimulate doubles as the headline throughput: one
 /// iteration is one full encrypt + trace synthesis, i.e. one trace.
@@ -349,6 +417,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   const bool dtw_ok = run_dtw_speedup_gate(report);
+  const bool crc_ok = run_crc32_speedup_gate(report);
   report.write();
-  return dtw_ok ? 0 : 1;
+  return dtw_ok && crc_ok ? 0 : 1;
 }

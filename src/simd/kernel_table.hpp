@@ -31,7 +31,14 @@ struct KernelTable {
                        std::size_t);
   void (*hyp_sums)(const std::uint8_t*, std::int64_t*, std::int64_t*,
                    std::size_t);
+  std::uint32_t (*crc32_update)(std::uint32_t, const std::uint8_t*,
+                                std::size_t);
 };
+
+/// The table-driven byte-at-a-time CRC-32: the scalar backend's entry and
+/// the AVX2 kernel's path for short inputs and sub-16-byte tails.
+std::uint32_t crc32_bytes(std::uint32_t crc, const std::uint8_t* p,
+                          std::size_t len);
 
 /// Portable reference backend (simd.cpp).
 const KernelTable& scalar_table();

@@ -1,5 +1,6 @@
 #include "simd/simd.hpp"
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -159,6 +160,20 @@ void s_hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
   }
 }
 
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
+
+constexpr std::array<std::uint32_t, 256> make_crc_table() {
+  std::array<std::uint32_t, 256> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? kCrcPoly ^ (c >> 1) : c >> 1;
+    t[i] = c;
+  }
+  return t;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+
 std::atomic<const detail::KernelTable*> g_table{nullptr};
 std::atomic<int> g_backend{-1};
 
@@ -174,7 +189,8 @@ Backend resolve_from_env() {
     if (std::strcmp(env, "avx2") == 0) {
       if (avx2_supported()) return Backend::kAvx2;
       obs::log::warn(
-          "simd", "RFTC_SIMD=avx2 requested but the CPU lacks AVX2",
+          "simd",
+          "RFTC_SIMD=avx2 requested but the CPU lacks AVX2 or PCLMULQDQ",
           {obs::log::kv("fallback", std::string_view("scalar"))});
       return Backend::kScalar;
     }
@@ -204,6 +220,14 @@ const detail::KernelTable& table() {
 
 namespace detail {
 
+std::uint32_t crc32_bytes(std::uint32_t crc, const std::uint8_t* p,
+                          std::size_t len) {
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i)
+    c = kCrcTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
 const KernelTable& scalar_table() {
   static const KernelTable t = {
       s_widen,
@@ -221,6 +245,7 @@ const KernelTable& scalar_table() {
       s_peak_abs_correlation_scaled,
       s_xor_popcount,
       s_hyp_sums,
+      crc32_bytes,
   };
   return t;
 }
@@ -229,7 +254,9 @@ const KernelTable& scalar_table() {
 
 bool avx2_supported() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+  // The avx2 table's CRC-32 kernel also needs carry-less multiply.
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("pclmul") != 0;
 #else
   return false;
 #endif
@@ -317,6 +344,12 @@ void xor_popcount(const std::uint8_t* pre, std::uint8_t y, std::uint8_t* out,
 void hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
               std::size_t n) {
   table().hyp_sums(row, sh, sh2, n);
+}
+
+std::uint32_t crc32_update(std::uint32_t crc, const void* data,
+                           std::size_t len) {
+  return table().crc32_update(crc, static_cast<const std::uint8_t*>(data),
+                              len);
 }
 
 }  // namespace rftc::simd

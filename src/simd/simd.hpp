@@ -1,13 +1,14 @@
 // rftc::simd — runtime-dispatched vectorization layer for the analysis hot
 // paths (CPA class sums, Welch-t accumulation, leakage models, correlation
-// sweeps).
+// sweeps) and for the CRC-32 behind every trace-store chunk and wire blob.
 //
 // Two backends implement one kernel table: a portable scalar fallback
 // (plain loops, compiled with the project-wide flags) and an AVX2
-// implementation (explicit intrinsics, compiled with -mavx2 on that single
-// translation unit only — see src/simd/CMakeLists.txt).  The backend is
-// picked once at first use: RFTC_SIMD=avx2|scalar overrides, otherwise a
-// CPUID probe selects AVX2 when the host supports it.  Tests sweep both
+// implementation (explicit intrinsics, compiled with -mavx2 -mpclmul on
+// that single translation unit only — see src/simd/CMakeLists.txt).  The
+// backend is picked once at first use: RFTC_SIMD=avx2|scalar overrides,
+// otherwise a CPUID probe selects AVX2 when the host supports it (AVX2 and
+// PCLMULQDQ both).  Tests sweep both
 // in-process via set_backend().
 //
 // Bit-identity contract: every kernel is ELEMENTWISE over independent
@@ -18,7 +19,9 @@
 // AVX2 backends produce bit-identical results on any input; the golden
 // equivalence tests (test_simd.cpp) pin this down across RFTC_THREADS x
 // RFTC_SIMD.  Reductions (peak_abs_correlation) only ever combine lanes
-// with max(), which is exact and order-independent.
+// with max(), which is exact and order-independent.  crc32_update is the
+// one non-elementwise kernel: it is integer arithmetic over GF(2), so the
+// AVX2 fold and the scalar byte table agree on every input by construction.
 //
 // Selection is observable: the "rftc.simd.isa" gauge (0 = scalar,
 // 1 = avx2) is published through rftc::obs, and benches stamp
@@ -35,7 +38,7 @@ enum class Backend {
   kAvx2 = 1,
 };
 
-/// True when the host CPU can execute the AVX2 backend.
+/// True when the host CPU can execute the AVX2 backend (AVX2 + PCLMULQDQ).
 bool avx2_supported();
 
 /// The active backend.  First call resolves RFTC_SIMD (avx2|scalar; an
@@ -125,5 +128,12 @@ void xor_popcount(const std::uint8_t* pre, std::uint8_t y, std::uint8_t* out,
 /// sums over one precomputed 256-guess model row (row values are <= 8).
 void hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
               std::size_t n);
+
+/// Incremental CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of
+/// data[0, len), continuing from the running value `crc` (start from 0).
+/// Integer-exact: every backend returns the same value.  The AVX2 backend
+/// folds 64-byte blocks with PCLMULQDQ; the scalar one is a byte table.
+std::uint32_t crc32_update(std::uint32_t crc, const void* data,
+                           std::size_t len);
 
 }  // namespace rftc::simd

@@ -1,7 +1,8 @@
 // AVX2 backend.  This is the only translation unit compiled with -mavx2
-// (and deliberately NOT -mfma): every kernel uses explicit mul-then-add so
-// the floating-point operation sequence per element is identical to the
-// scalar backend — see the bit-identity contract in simd.hpp.
+// -mpclmul (and deliberately NOT -mfma): every kernel uses explicit
+// mul-then-add so the floating-point operation sequence per element is
+// identical to the scalar backend — see the bit-identity contract in
+// simd.hpp.  PCLMULQDQ serves the CRC-32 fold alone.
 #include "simd/kernel_table.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -314,6 +315,87 @@ void v_hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
   }
 }
 
+// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC Computation
+// for Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009) in the
+// bit-reflected domain of 0xEDB88320.  Each k is (x^n mod P(x)) << 32,
+// bit-reflected and shifted left by one:
+//   k1, k2 = x^(512+32), x^(512-32) mod P — the 64-byte fold stride;
+//   k3, k4 = x^(128+32), x^(128-32) mod P — the 16-byte fold stride;
+//   k5     = x^64 mod P                   — the 128 -> 64-bit fold;
+//   P', mu = P(x) and floor(x^64 / P(x)), reflected — the Barrett step.
+constexpr std::uint64_t kCrcK1 = 0x0154442bd4, kCrcK2 = 0x01c6e41596;
+constexpr std::uint64_t kCrcK3 = 0x01751997d0, kCrcK4 = 0x00ccaa009e;
+constexpr std::uint64_t kCrcK5 = 0x0163cd6124;
+constexpr std::uint64_t kCrcPoly = 0x01db710641, kCrcMu = 0x01f7011641;
+
+inline __m128i load16(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+inline __m128i k_pair(std::uint64_t lo, std::uint64_t hi) {
+  return _mm_set_epi64x(static_cast<long long>(hi),
+                        static_cast<long long>(lo));
+}
+
+/// One fold step: x carried forward by the stride `k` encodes (low half
+/// times k.lo, high half times k.hi), XORed into the 128 bits `next`.
+inline __m128i fold16(__m128i x, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+/// Folds len bytes (len >= 64, a multiple of 16) into the running CRC
+/// register `c` (the pre-/post-inversion is the caller's).
+std::uint32_t crc32_fold(std::uint32_t c, const std::uint8_t* p,
+                         std::size_t len) {
+  __m128i x1 = _mm_xor_si128(load16(p),
+                             _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x2 = load16(p + 16);
+  __m128i x3 = load16(p + 32);
+  __m128i x4 = load16(p + 48);
+  p += 64;
+  len -= 64;
+
+  const __m128i k12 = k_pair(kCrcK1, kCrcK2);
+  for (; len >= 64; p += 64, len -= 64) {
+    x1 = fold16(x1, k12, load16(p));
+    x2 = fold16(x2, k12, load16(p + 16));
+    x3 = fold16(x3, k12, load16(p + 32));
+    x4 = fold16(x4, k12, load16(p + 48));
+  }
+
+  const __m128i k34 = k_pair(kCrcK3, kCrcK4);
+  x1 = fold16(x1, k34, x2);
+  x1 = fold16(x1, k34, x3);
+  x1 = fold16(x1, k34, x4);
+  for (; len >= 16; p += 16, len -= 16) x1 = fold16(x1, k34, load16(p));
+
+  // 128 -> 64 bits, then 64 -> 32 bits by Barrett reduction.
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k34, 0x10));
+  x1 = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x1, low32),
+                                          k_pair(kCrcK5, 0), 0x00),
+                     _mm_srli_si128(x1, 4));
+  const __m128i pmu = k_pair(kCrcPoly, kCrcMu);
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), pmu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), pmu, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+/// The fold covers the 16-byte-aligned prefix of any input of at least 64
+/// bytes; the byte table takes the tail and short inputs.  Bit-identical to
+/// crc32_bytes (GF(2) arithmetic has no rounding to reorder).
+std::uint32_t v_crc32_update(std::uint32_t crc, const std::uint8_t* p,
+                             std::size_t len) {
+  if (len < 64) return crc32_bytes(crc, p, len);
+  const std::size_t body = len & ~std::size_t{15};
+  const std::uint32_t folded = ~crc32_fold(~crc, p, body);
+  return crc32_bytes(folded, p + body, len - body);
+}
+
 }  // namespace
 
 const KernelTable& avx2_table() {
@@ -333,6 +415,7 @@ const KernelTable& avx2_table() {
       v_peak_abs_correlation_scaled,
       v_xor_popcount,
       v_hyp_sums,
+      v_crc32_update,
   };
   return t;
 }

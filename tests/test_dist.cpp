@@ -13,10 +13,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <random>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/attacks.hpp"
@@ -24,6 +28,7 @@
 #include "analysis/tvla.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
+#include "pbt/pbt.hpp"
 #include "rftc/device.hpp"
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
@@ -361,9 +366,10 @@ TEST(DistPlanShards, RejectsDegenerateInputs) {
 
 analysis::CpaEngine make_synthetic_engine(analysis::CpaMode mode,
                                           std::size_t samples,
-                                          std::size_t traces) {
-  analysis::CpaEngine engine(samples, {0, 3}, aes::LeakageModel::kLastRoundHd,
-                             mode);
+                                          std::size_t traces,
+                                          std::vector<int> bytes = {0, 3}) {
+  analysis::CpaEngine engine(samples, std::move(bytes),
+                             aes::LeakageModel::kLastRoundHd, mode);
   std::mt19937 rng(0xC0FFEE);
   for (std::size_t i = 0; i < traces; ++i) {
     aes::Block ct{};
@@ -421,10 +427,74 @@ TEST(DistSerialize, SplitSerializeMergeMatchesSequential) {
                std::invalid_argument);
 }
 
+/// One bit flipped in a sealed blob, aimed at a region of the CRC kernel's
+/// walk: the AVX2 fold takes the first 64-byte block, then the rest of the
+/// 16-byte-aligned body, and the byte table the sub-16-byte tail; the last
+/// region is the CRC trailer itself.
+struct BlobFlip {
+  std::size_t region = 0;  // 0 first block, 1 folded body, 2 tail, 3 CRC
+  std::size_t byte = 0;
+  unsigned bit = 0;
+};
+
+/// Property: every single-bit flip of `blob`, in every non-empty region,
+/// makes `parse` throw std::runtime_error.
+bool every_bit_flip_rejected(
+    const std::string& name, std::uint64_t seed,
+    const std::vector<unsigned char>& blob,
+    const std::function<void(std::span<const unsigned char>)>& parse) {
+  const std::size_t body = blob.size() - 4;
+  const std::size_t bounds[] = {0, 64, body & ~std::size_t{15}, body,
+                                blob.size()};
+  std::vector<std::size_t> regions;
+  for (std::size_t r = 0; r < 4; ++r)
+    if (bounds[r + 1] > bounds[r]) regions.push_back(r);
+  return pbt::check<BlobFlip>(
+      name,
+      [&](pbt::Rng& rng) {
+        BlobFlip f;
+        f.region = regions[static_cast<std::size_t>(
+            rng.uniform(regions.size()))];
+        const std::size_t lo = bounds[f.region], hi = bounds[f.region + 1];
+        f.byte = lo + static_cast<std::size_t>(rng.uniform(hi - lo));
+        f.bit = static_cast<unsigned>(rng.uniform(8));
+        return f;
+      },
+      [&](const BlobFlip& f) -> std::optional<std::string> {
+        std::vector<unsigned char> bad = blob;
+        bad[f.byte] ^= static_cast<unsigned char>(1u << f.bit);
+        try {
+          parse(bad);
+        } catch (const std::runtime_error&) {
+          return std::nullopt;
+        } catch (const std::exception& e) {
+          return std::string("threw a non-runtime_error: ") + e.what();
+        }
+        return "corrupt blob accepted";
+      },
+      pbt::Config::from_env(seed), {},
+      [&](const BlobFlip& f) {
+        std::ostringstream os;
+        os << "region=" << f.region << " byte=" << f.byte << "/"
+           << blob.size() << " bit=" << f.bit;
+        return os.str();
+      });
+}
+
+/// The regions every_bit_flip_rejected aims at must all be non-empty.
+void expect_all_flip_regions(const std::vector<unsigned char>& blob) {
+  const std::size_t body = blob.size() - 4;
+  EXPECT_GT(body & ~std::size_t{15}, 64u) << "no folded body past block 0";
+  EXPECT_NE(body % 16, 0u) << "no sub-16-byte tail";
+}
+
 TEST(DistSerialize, CpaEngineRejectsCorruptBlobs) {
+  // Three byte positions: the odd count of u32 header fields leaves a
+  // sub-16-byte tail past the fold.
   const analysis::CpaEngine engine =
-      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 40);
+      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 40, {0, 3, 7});
   const std::vector<unsigned char> blob = engine.serialize();
+  expect_all_flip_regions(blob);
 
   EXPECT_THROW(analysis::CpaEngine::deserialize({}), std::runtime_error);
 
@@ -433,9 +503,11 @@ TEST(DistSerialize, CpaEngineRejectsCorruptBlobs) {
   EXPECT_THROW(analysis::CpaEngine::deserialize(truncated),
                std::runtime_error);
 
-  std::vector<unsigned char> flipped = blob;
-  flipped[flipped.size() / 2] ^= 0x40;
-  EXPECT_THROW(analysis::CpaEngine::deserialize(flipped), std::runtime_error);
+  EXPECT_TRUE(every_bit_flip_rejected(
+      "cpa_blob_bitflip", 0xB10BF11B, blob,
+      [](std::span<const unsigned char> b) {
+        (void)analysis::CpaEngine::deserialize(b);
+      }));
 
   std::vector<unsigned char> bad_magic = blob;
   bad_magic[0] ^= 0xFF;
@@ -540,9 +612,13 @@ TEST(DistSerialize, WelchRoundTripAndCorruptionRejected) {
   for (std::size_t s = 0; s < want.size(); ++s) EXPECT_EQ(got[s], want[s]);
   EXPECT_EQ(back.serialize(), blob);
 
-  std::vector<unsigned char> flipped = blob;
-  flipped[flipped.size() - 2] ^= 0x01;  // lands in the CRC trailer
-  EXPECT_THROW(WelchTTest::deserialize(flipped), std::runtime_error);
+  // A Welch body is 16 + 48 * samples bytes, always a whole number of
+  // 16-byte blocks: its only bytes past the fold are the CRC trailer.
+  EXPECT_TRUE(every_bit_flip_rejected(
+      "welch_blob_bitflip", 0x3E1C4F11, blob,
+      [](std::span<const unsigned char> b) {
+        (void)WelchTTest::deserialize(b);
+      }));
   std::vector<unsigned char> truncated = blob;
   truncated.pop_back();
   EXPECT_THROW(WelchTTest::deserialize(truncated), std::runtime_error);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "aes/leakage.hpp"
 #include "analysis/cpa.hpp"
 #include "obs/metrics.hpp"
+#include "util/crc32.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -193,6 +195,69 @@ TEST(SimdKernels, AllKernelsBitIdenticalAcrossBackends) {
         << "peak_abs_correlation n=" << n;
     EXPECT_EQ(std::memcmp(&s.scalar2, &v.scalar2, sizeof(double)), 0)
         << "peak_abs_correlation_scaled n=" << n;
+  }
+
+  // CRC-32: the AVX2 fold takes the 16-byte-aligned prefix of inputs of 64
+  // bytes or more and the byte table the rest, so sweep every length across
+  // those boundaries at every misalignment, MiB inputs with odd tails, and
+  // incremental splits around the 16- and 64-byte block sizes.
+  std::vector<std::uint8_t> buf((std::size_t{1} << 20) + 64);
+  Xoshiro256StarStar rng(0xC3C32);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform(256));
+  auto crc_on = [&](simd::Backend b, std::size_t off, std::size_t len) {
+    simd::set_backend(b);
+    return simd::crc32_update(0, buf.data() + off, len);
+  };
+  for (std::size_t off = 0; off < 16; ++off)
+    for (std::size_t len = 0; len <= 300; ++len)
+      ASSERT_EQ(crc_on(simd::Backend::kScalar, off, len),
+                crc_on(simd::Backend::kAvx2, off, len))
+          << "crc32 len=" << len << " off=" << off;
+  for (const std::size_t len :
+       {(std::size_t{1} << 20) - 7, std::size_t{1} << 20,
+        (std::size_t{1} << 20) + 13})
+    for (const std::size_t off : {std::size_t{0}, std::size_t{3}})
+      EXPECT_EQ(crc_on(simd::Backend::kScalar, off, len),
+                crc_on(simd::Backend::kAvx2, off, len))
+          << "crc32 len=" << len << " off=" << off;
+
+  // A running CRC carried across every split equals the one-shot value:
+  // two-part splits, then one chain cycling through all the split sizes.
+  constexpr std::size_t kSplits[] = {15, 16, 17, 63, 64, 65};
+  constexpr std::size_t kMsg = 4096 + 5;
+  const std::uint32_t whole = crc_on(simd::Backend::kScalar, 1, kMsg);
+  for (const simd::Backend b : available_backends()) {
+    simd::set_backend(b);
+    const std::uint8_t* p = buf.data() + 1;
+    for (const std::size_t split : kSplits)
+      EXPECT_EQ(simd::crc32_update(simd::crc32_update(0, p, split), p + split,
+                                   kMsg - split),
+                whole)
+          << "crc32 split=" << split << " backend=" << simd::backend_name();
+    std::uint32_t chained = 0;
+    for (std::size_t pos = 0, i = 0; pos < kMsg; ++i) {
+      const std::size_t step = std::min(kSplits[i % 6], kMsg - pos);
+      chained = simd::crc32_update(chained, p + pos, step);
+      pos += step;
+    }
+    EXPECT_EQ(chained, whole) << "crc32 chain backend=" << simd::backend_name();
+  }
+}
+
+TEST(SimdKernels, Crc32MatchesReferenceValuesOnEveryBackend) {
+  BackendGuard guard;
+  // The CRC-32/ISO-HDLC check value, a short (byte-table) input, and a
+  // 1000-byte one that the AVX2 backend folds; expected values from zlib.
+  std::vector<std::uint8_t> pattern(1000);
+  for (std::size_t i = 0; i < pattern.size(); ++i)
+    pattern[i] = static_cast<std::uint8_t>((i * 37 + 11) & 0xff);
+  for (const simd::Backend b : available_backends()) {
+    simd::set_backend(b);
+    EXPECT_EQ(util::crc32("123456789", 9), 0xCBF43926u)
+        << simd::backend_name();
+    EXPECT_EQ(util::crc32(pattern.data(), pattern.size()), 0xC3905A1Du)
+        << simd::backend_name();
+    EXPECT_EQ(util::crc32(pattern.data(), 0), 0u) << simd::backend_name();
   }
 }
 
