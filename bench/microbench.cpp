@@ -108,6 +108,31 @@ void BM_CpaAddBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_CpaAddBatched)->Arg(64)->Arg(125)->Arg(250);
 
+/// The cpa-reattack geometry: all 16 bytes, random ciphertexts (so classes
+/// land in random order across a tile) and random traces.
+void BM_CpaAddBatched16(benchmark::State& state) {
+  const auto samples = static_cast<std::size_t>(state.range(0));
+  std::vector<int> bytes(16);
+  for (int b = 0; b < 16; ++b) bytes[static_cast<std::size_t>(b)] = b;
+  analysis::CpaEngine engine(samples, bytes, aes::LeakageModel::kLastRoundHd,
+                             analysis::CpaMode::kBatched);
+  constexpr std::size_t kPool = 4'096;
+  Xoshiro256StarStar rng(5);
+  std::vector<aes::Block> cts(kPool);
+  for (auto& ct : cts)
+    for (auto& b : ct) b = static_cast<std::uint8_t>(rng.next());
+  std::vector<float> traces(kPool * samples);
+  for (auto& v : traces) v = static_cast<float>(rng.gaussian());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    engine.add(cts[i], std::span<const float>(traces.data() + i * samples,
+                                              samples));
+    i = (i + 1) % kPool;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CpaAddBatched16)->Arg(125);
+
 /// Feeds `n` random traces so a report pass sees realistic class sums.
 analysis::CpaEngine filled_engine(analysis::CpaMode mode, std::size_t samples,
                                   std::size_t n) {

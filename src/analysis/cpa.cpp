@@ -21,10 +21,8 @@ namespace rftc::analysis {
 
 namespace {
 
-/// Samples per flush/report shard.  A pure constant: shard boundaries must
-/// never depend on the thread count (see util/parallel.hpp).
-constexpr std::size_t kSampleGrain = 16;
-/// Guesses per streaming-report shard.
+/// Guesses per streaming-report shard.  A pure constant: shard boundaries
+/// must never depend on the thread count (see util/parallel.hpp).
 constexpr std::size_t kGuessGrain = 32;
 /// WHT panel width in samples.  One [256][kPanel] panel is 32 KiB.
 constexpr std::size_t kPanel = 16;
@@ -111,7 +109,7 @@ CpaMode CpaEngine::default_mode() {
 }
 
 std::size_t CpaEngine::default_batch_size() {
-  return env::read_count("RFTC_CPA_BATCH", 64);
+  return env::cpa_batch();
 }
 
 CpaEngine::CpaEngine(std::size_t samples, std::vector<int> byte_positions,
@@ -359,37 +357,58 @@ void CpaEngine::flush() const {
 
   const bool last_round = model_ == aes::LeakageModel::kLastRoundHd;
   const std::size_t n_bytes = bytes_.size();
-  // Shard over samples: every shard owns a disjoint sample range and walks
-  // the tile in trace order, so each accumulator element sees the same
-  // addition sequence for any thread count and any tile boundary.
-  par::parallel_for(0, samples_, kSampleGrain, [&](std::size_t s0,
-                                                   std::size_t s1) {
-    const std::size_t len = s1 - s0;
-    for (std::size_t i = 0; i < nb; ++i) {
-      const float* tr = tile_traces_.data() + i * samples_;
-      simd::accumulate_sums_f(tr + s0, sum_t_.data() + s0,
-                              sum_t2_.data() + s0, len);
-    }
-    for (std::size_t bi = 0; bi < n_bytes; ++bi) {
-      for (std::size_t i = 0; i < nb; ++i) {
-        const float* tr = tile_traces_.data() + i * samples_;
-        const std::size_t x = tile_x_[i * n_bytes + bi];
-        if (last_round) {
+  const std::size_t planes = last_round ? 8 : 1;
+  // One shard per attacked byte plus one for the per-sample trace sums:
+  // shards are a pure function of the byte count and own disjoint outputs.
+  // Every accumulator element still receives its traces in trace order, so
+  // the sums are bit-identical for any input, thread count or tile size.
+  par::parallel_for(0, n_bytes + 1, 1, [&](std::size_t j0, std::size_t j1) {
+    for (std::size_t j = j0; j < j1; ++j) {
+      if (j == n_bytes) {
+        for (std::size_t i = 0; i < nb; ++i)
+          simd::accumulate_sums_f(tile_traces_.data() + i * samples_,
+                                  sum_t_.data(), sum_t2_.data(), samples_);
+        continue;
+      }
+      const std::size_t bi = j;
+      if (last_round) {
+        double* wrow = class_w_.data() + bi * samples_;
+        for (std::size_t i = 0; i < nb; ++i) {
           const unsigned y = tile_y_[i * n_bytes + bi];
-          const double w = static_cast<double>(std::popcount(y));
-          simd::axpy_f(w, tr + s0, class_w_.data() + bi * samples_ + s0, len);
-          double* dx =
-              class_d_.data() + (bi * 256 + x) * 8 * samples_;
-          for (int k = 0; k < 8; ++k) {
-            double* dk = dx + static_cast<std::size_t>(k) * samples_ + s0;
-            if ((y >> k) & 1)
-              simd::sub_f(tr + s0, dk, len);
-            else
-              simd::add_f(tr + s0, dk, len);
+          simd::axpy_f(static_cast<double>(std::popcount(y)),
+                       tile_traces_.data() + i * samples_, wrow, samples_);
+        }
+      }
+      // Stable counting sort of the tile by class x, so each class's
+      // `planes` rows stay cache-resident while all of its traces in the
+      // tile land in them, still in trace order.
+      const auto x_of = [&](std::size_t i) {
+        return tile_x_[i * n_bytes + bi];
+      };
+      std::array<std::uint32_t, 257> start{};
+      for (std::size_t i = 0; i < nb; ++i) ++start[x_of(i) + 1u];
+      for (std::size_t x = 0; x < 256; ++x) start[x + 1] += start[x];
+      std::array<std::uint32_t, 257> next = start;
+      std::vector<std::uint32_t> order(nb);
+      for (std::size_t i = 0; i < nb; ++i)
+        order[next[x_of(i)]++] = static_cast<std::uint32_t>(i);
+
+      for (std::size_t x = 0; x < 256; ++x) {
+        double* dx = class_d_.data() + (bi * 256 + x) * planes * samples_;
+        for (std::uint32_t r = start[x]; r < start[x + 1]; ++r) {
+          const std::size_t i = order[r];
+          const float* tr = tile_traces_.data() + i * samples_;
+          if (!last_round) {
+            simd::add_f(tr, dx, samples_);
+            continue;
           }
-        } else {
-          double* dx = class_d_.data() + (bi * 256 + x) * samples_;
-          simd::add_f(tr + s0, dx + s0, len);
+          const unsigned y = tile_y_[i * n_bytes + bi];
+          for (std::size_t k = 0; k < 8; ++k) {
+            if ((y >> k) & 1)
+              simd::sub_f(tr, dx + k * samples_, samples_);
+            else
+              simd::add_f(tr, dx + k * samples_, samples_);
+          }
         }
       }
     }

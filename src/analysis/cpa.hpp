@@ -20,12 +20,20 @@
 //    ciphertext byte x) at ~9·S work per trace instead of 256·S, and
 //    report() materialises sum_ht for all 256 guesses at once as an
 //    XOR-convolution via the Walsh–Hadamard transform.  Traces buffer into
-//    a tile of `batch_size()` and flush with a sample-sharded parallel_for.
+//    a tile of `batch_size()`.  A flush is one parallel_for with one shard
+//    per attacked byte plus one for the per-sample trace sums.  A byte's
+//    shard stable-sorts the tile by class x and walks it class by class,
+//    so a class's bit-plane rows (8 KB at S=125) stay in L1 while all of
+//    its traces in the tile land in them — one row-group load per class
+//    per tile instead of one per trace.
 //
 // Determinism: every per-element floating-point accumulation happens in
-// trace order regardless of tile boundaries, and flush/report shards are a
-// pure function of (samples, grain) — so batched results are bit-identical
-// for any RFTC_THREADS and any batch size.  On raw ADC traces (multiples
+// trace order regardless of tile boundaries.  The class sort is stable, so
+// each class-sum element still sees its traces in trace order; W and the
+// trace sums are walked in plain trace order.  Flush/report shards are a
+// pure function of (bytes, samples).  So batched results are bit-identical
+// for any input — not only quantized traces — any RFTC_THREADS and any
+// batch size.  On raw ADC traces (multiples
 // of the 400/256 mV quantum) every product and partial sum is an exact
 // small multiple of that quantum, so the batched engine is additionally
 // bit-identical to the streaming reference — the golden determinism test
@@ -52,7 +60,8 @@ class CpaEngine {
  public:
   /// RFTC_CPA_MODE=streaming|batched (default batched).
   static CpaMode default_mode();
-  /// RFTC_CPA_BATCH=<n> traces per tile (default 64).
+  /// RFTC_CPA_BATCH=<n> traces per tile (default env::kCpaBatchDefault,
+  /// 1,024: ≈4 traces per class per tile, ≈0.5 MB of floats at S=125).
   static std::size_t default_batch_size();
 
   /// `byte_positions`: key byte indices to attack (0..15).  With the
@@ -120,7 +129,7 @@ class CpaEngine {
                      std::span<const float> trace);
   void add_batched(const aes::Block& plaintext, const aes::Block& ciphertext,
                    std::span<const float> trace);
-  /// Drains the tile into the class sums (sample-sharded parallel_for).
+  /// Drains the tile into the class sums (byte-sharded, class-sorted).
   void flush() const;
   std::vector<ByteReport> report_streaming() const;
   std::vector<ByteReport> report_batched() const;

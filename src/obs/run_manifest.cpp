@@ -41,14 +41,15 @@ Provenance Provenance::collect() {
   p.build_type = RFTC_BUILD_TYPE;
   // Knob defaults mirror par::thread_count() / CpaEngine::default_mode();
   // re-read from the environment because obs sits below rftc_util in the
-  // link order (see BenchReport).
+  // link order (see BenchReport).  The tile size shares its reader with
+  // CpaEngine::default_batch_size().
   const char* mode = std::getenv("RFTC_CPA_MODE");
   p.cpa_mode = mode != nullptr && std::string_view(mode) == "streaming"
                    ? "streaming"
                    : "batched";
   const std::size_t hw = std::thread::hardware_concurrency();
   p.threads = env::read_count("RFTC_THREADS", hw > 0 ? hw : 1);
-  p.batch = env::read_count("RFTC_CPA_BATCH", 64);
+  p.batch = env::cpa_batch();
   return p;
 }
 

@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/env.hpp"
+
 namespace rftc::obs {
 
 /// Current manifest schema version (the "manifest_version" header field).
@@ -54,7 +56,7 @@ struct Provenance {
   /// Worker count (RFTC_THREADS or hardware concurrency).
   std::size_t threads = 1;
   /// CPA tile size (RFTC_CPA_BATCH or the engine default).
-  std::size_t batch = 64;
+  std::size_t batch = env::kCpaBatchDefault;
   /// Campaign base seed; 0 until the run stamps one via set_seed().
   std::uint64_t seed = 0;
 

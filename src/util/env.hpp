@@ -137,4 +137,14 @@ inline std::size_t read_count(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(*parsed);
 }
 
+/// Traces per batched-CPA tile when RFTC_CPA_BATCH is unset.  Defined here
+/// rather than in analysis/cpa.hpp because rftc::obs stamps it into every
+/// provenance record and links below rftc_analysis.
+inline constexpr std::size_t kCpaBatchDefault = 1024;
+
+/// RFTC_CPA_BATCH=<n>: the batched CPA engine's tile size.
+inline std::size_t cpa_batch() {
+  return read_count("RFTC_CPA_BATCH", kCpaBatchDefault);
+}
+
 }  // namespace rftc::env

@@ -4,8 +4,11 @@
 // batched CPA engine agrees bit-for-bit with the streaming reference.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/cpa.hpp"
@@ -13,6 +16,7 @@
 #include "rftc/device.hpp"
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
+#include "util/env.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -135,33 +139,67 @@ void expect_identical_reports(
   }
 }
 
-std::vector<analysis::CpaEngine::ByteReport> batched_report(
-    const trace::TraceSet& set, aes::LeakageModel model, std::size_t batch) {
+/// Batched engine fed every trace of `set`, each sample multiplied by
+/// `scale(i)` for trace i.
+analysis::CpaEngine batched_engine(const trace::TraceSet& set,
+                                   aes::LeakageModel model, std::size_t batch,
+                                   float (*scale)(std::size_t)) {
   analysis::CpaEngine engine(set.samples(), {0, 7, 15}, model,
                              analysis::CpaMode::kBatched);
   engine.set_batch_size(batch);
-  for (std::size_t i = 0; i < set.size(); ++i)
-    engine.add(set.plaintext(i), set.ciphertext(i), set.trace(i));
-  return engine.report();
+  std::vector<float> tr(set.samples());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    const std::span<const float> raw = set.trace(i);
+    for (std::size_t s = 0; s < tr.size(); ++s) tr[s] = raw[s] * scale(i);
+    engine.add(set.plaintext(i), set.ciphertext(i), tr);
+  }
+  return engine;
+}
+
+float unscaled(std::size_t) { return 1.0f; }
+
+/// A third of each trace, times 2^(i mod 48 − 24).  A plain 1/3 is not
+/// enough: its floats span so few binades that their double sums stay
+/// exact in any order.  The 48-binade spread makes every class sum round,
+/// so any change of per-element addition order changes the bits.
+float spread_third(std::size_t i) {
+  return std::ldexp(1.0f / 3, static_cast<int>(i % 48) - 24);
 }
 
 TEST(Determinism, BatchedCpaInvariantToThreadsAndBatch) {
   ThreadCountGuard guard;
+  // 2,048 traces: a 1,024-trace tile holds ≈4 traces per class, so the
+  // flush's class sort matters; n + 5 puts every trace in one tile.
   const trace::TraceSet set = trace::acquire_random_parallel(
-      test_factory(), 300, /*seed=*/13, /*shard_size=*/64);
-  std::vector<analysis::CpaEngine::ByteReport> reference;
-  for (const std::size_t threads : kThreadSweep) {
-    par::set_thread_count(threads);
-    for (const std::size_t batch : {1u, 7u, 64u}) {
-      const auto reports =
-          batched_report(set, aes::LeakageModel::kLastRoundHd, batch);
-      if (reference.empty()) {
-        reference = reports;
-        continue;
+      test_factory(), 2'048, /*seed=*/13, /*shard_size=*/64);
+  const std::size_t batches[] = {1, 7, 64, 1'024, set.size() + 5};
+  for (const auto model : {aes::LeakageModel::kLastRoundHd,
+                           aes::LeakageModel::kFirstRoundHw}) {
+    for (const auto scale : {&unscaled, &spread_third}) {
+      std::vector<unsigned char> reference_blob;
+      std::vector<analysis::CpaEngine::ByteReport> reference;
+      for (const std::size_t threads : kThreadSweep) {
+        par::set_thread_count(threads);
+        for (const std::size_t batch : batches) {
+          const analysis::CpaEngine engine =
+              batched_engine(set, model, batch, scale);
+          const std::vector<unsigned char> blob = engine.serialize();
+          const auto reports = engine.report();
+          if (reference.empty()) {
+            reference_blob = blob;
+            reference = reports;
+            continue;
+          }
+          SCOPED_TRACE(std::string(model == aes::LeakageModel::kLastRoundHd
+                                       ? "last-round"
+                                       : "first-round") +
+                       (scale == &unscaled ? " quantized" : " spread") +
+                       " threads=" + std::to_string(threads) +
+                       " batch=" + std::to_string(batch));
+          ASSERT_EQ(blob, reference_blob) << "accumulator sums differ";
+          expect_identical_reports(reference, reports);
+        }
       }
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      expect_identical_reports(reference, reports);
     }
   }
 }
@@ -172,8 +210,9 @@ TEST(Determinism, BatchedCpaInvariantToThreadsAndBatch) {
 TEST(Determinism, BatchedCpaMatchesStreamingOnQuantizedTraces) {
   ThreadCountGuard guard;
   par::set_thread_count(2);
+  // Two full default tiles and a partial one.
   const trace::TraceSet set = trace::acquire_random_parallel(
-      test_factory(), 300, /*seed=*/21, /*shard_size=*/64);
+      test_factory(), 2'100, /*seed=*/21, /*shard_size=*/64);
   for (const auto model : {aes::LeakageModel::kLastRoundHd,
                            aes::LeakageModel::kFirstRoundHw}) {
     analysis::CpaEngine streaming(set.samples(), {0, 7, 15}, model,
@@ -182,8 +221,10 @@ TEST(Determinism, BatchedCpaMatchesStreamingOnQuantizedTraces) {
       streaming.add(set.plaintext(i), set.ciphertext(i), set.trace(i));
     SCOPED_TRACE(model == aes::LeakageModel::kLastRoundHd ? "last-round"
                                                           : "first-round");
-    expect_identical_reports(streaming.report(),
-                             batched_report(set, model, 64));
+    expect_identical_reports(
+        streaming.report(),
+        batched_engine(set, model, env::kCpaBatchDefault, &unscaled)
+            .report());
   }
 }
 

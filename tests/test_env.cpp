@@ -1,13 +1,15 @@
 // The shared RFTC_* knob parser (util/env.hpp): a value is either a single
 // complete token that parses cleanly or the knob falls back — no silent
 // half-parses.  Also covers the env-level behaviour of
-// obs::checkpoints_from_env and the pbt Config knobs, which ride on the
-// same helper.
+// obs::checkpoints_from_env, the pbt Config knobs and the CPA tile size,
+// which ride on the same helper.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
+#include "analysis/cpa.hpp"
 #include "obs/checkpoints.hpp"
+#include "obs/run_manifest.hpp"
 #include "pbt/pbt.hpp"
 #include "util/env.hpp"
 
@@ -170,6 +172,21 @@ TEST(EnvRead, CountRejectsZero) {
 TEST(EnvRead, ValidValuesWin) {
   EnvGuard guard("RFTC_TEST_KNOB", " 48 ");
   EXPECT_EQ(env::read_count("RFTC_TEST_KNOB", 5), 48u);
+}
+
+// ------------------------------------------------------ RFTC_CPA_BATCH --
+
+TEST(CpaBatchEnv, ProvenanceStampsTheEngineDefault) {
+  EnvGuard guard("RFTC_CPA_BATCH", nullptr);
+  EXPECT_EQ(obs::Provenance::collect().batch,
+            analysis::CpaEngine::default_batch_size());
+  EXPECT_EQ(obs::Provenance{}.batch, analysis::CpaEngine::default_batch_size());
+}
+
+TEST(CpaBatchEnv, ProvenanceFollowsTheKnob) {
+  EnvGuard guard("RFTC_CPA_BATCH", "256");
+  EXPECT_EQ(analysis::CpaEngine::default_batch_size(), 256u);
+  EXPECT_EQ(obs::Provenance::collect().batch, 256u);
 }
 
 // ------------------------------------------------- checkpoints_from_env --
