@@ -182,7 +182,63 @@ void CpaEngine::merge(const CpaEngine& other) {
 }
 
 namespace {
+
 constexpr char kCpaMagic[9] = "RFTCCPA1";
+
+/// A CPA snapshot whose CRC, magic, tags, byte positions and payload size
+/// all checked out; `arrays` is positioned at the first accumulator array
+/// and holds exactly the payload the geometry declares.
+struct CpaSnapshot {
+  CpaMode mode;
+  aes::LeakageModel model;
+  std::size_t samples;
+  std::vector<int> bytes;
+  std::uint64_t n;
+  wire::Reader arrays;
+};
+
+/// The one CPA blob parser behind deserialize() and merge(blob).
+CpaSnapshot parse_snapshot(std::span<const unsigned char> blob,
+                           const std::string& what) {
+  wire::Reader r(blob, what);
+  r.check_crc();
+  r.expect_magic(kCpaMagic);
+  const std::uint32_t mode_tag = r.u32();
+  const std::uint32_t model_tag = r.u32();
+  if (mode_tag > 1 || model_tag > 1)
+    throw std::runtime_error(what + ": unknown mode/model tag");
+  const std::uint64_t samples = r.u64();
+  const std::uint64_t n_bytes = r.u64();
+  const std::uint64_t n = r.u64();
+  if (samples == 0 || n_bytes == 0 || n_bytes > 16)
+    throw std::runtime_error(what + ": implausible geometry");
+  std::vector<int> bytes(static_cast<std::size_t>(n_bytes));
+  for (int& b : bytes) b = static_cast<int>(r.u32());
+  for (const int b : bytes)
+    if (b < 0 || b > 15)
+      throw std::runtime_error(what + ": byte position out of range");
+  // The arrays must fill the rest of the blob exactly: 2 * 256 hypothesis
+  // sums per byte, plus per sample the two trace sums and the mode's cross
+  // sums.  Checked by division, so the header's sample count never enters
+  // a product that could overflow, and before any engine allocates: a
+  // forged header cannot cost more memory than the blob carries.
+  const std::uint64_t cross_per_byte =
+      mode_tag == 0 ? 256 : (model_tag == 0 ? 1 + 8 * 256 : 256);
+  const std::uint64_t per_sample = 2 + n_bytes * cross_per_byte;
+  const std::uint64_t fixed_words = 2 * 256 * n_bytes;
+  const std::uint64_t words = r.remaining() / sizeof(double);
+  if (r.remaining() % sizeof(double) != 0 || words < fixed_words ||
+      (words - fixed_words) % per_sample != 0 ||
+      (words - fixed_words) / per_sample != samples)
+    throw std::runtime_error(what +
+                             ": payload size does not match the geometry");
+  return {mode_tag == 0 ? CpaMode::kStreaming : CpaMode::kBatched,
+          model_tag == 0 ? aes::LeakageModel::kLastRoundHd
+                         : aes::LeakageModel::kFirstRoundHw,
+          static_cast<std::size_t>(samples), std::move(bytes), n,
+          std::move(r)};
+}
+
 }  // namespace
 
 std::vector<unsigned char> CpaEngine::serialize() const {
@@ -219,56 +275,33 @@ std::vector<unsigned char> CpaEngine::serialize() const {
 }
 
 CpaEngine CpaEngine::deserialize(std::span<const unsigned char> blob) {
-  wire::Reader r(blob, "CpaEngine::deserialize");
-  r.check_crc();
-  r.expect_magic(kCpaMagic);
-  const std::uint32_t mode_tag = r.u32();
-  const std::uint32_t model_tag = r.u32();
-  if (mode_tag > 1 || model_tag > 1)
-    throw std::runtime_error("CpaEngine::deserialize: unknown mode/model tag");
-  const std::uint64_t samples = r.u64();
-  const std::uint64_t n_bytes = r.u64();
-  const std::uint64_t n = r.u64();
-  if (samples == 0 || n_bytes == 0 || n_bytes > 16)
-    throw std::runtime_error("CpaEngine::deserialize: implausible geometry");
-  std::vector<int> bytes(static_cast<std::size_t>(n_bytes));
-  for (int& b : bytes) b = static_cast<int>(r.u32());
-  for (const int b : bytes)
-    if (b < 0 || b > 15)
-      throw std::runtime_error(
-          "CpaEngine::deserialize: byte position out of range");
-  // The arrays must fill the rest of the blob exactly: 2 * 256 hypothesis
-  // sums per byte, plus per sample the two trace sums and the mode's cross
-  // sums.  Checked by division, so the header's sample count never enters
-  // a product that could overflow, and before the engine allocates: a
-  // forged header cannot cost more memory than the blob carries.
-  const std::uint64_t cross_per_byte =
-      mode_tag == 0 ? 256 : (model_tag == 0 ? 1 + 8 * 256 : 256);
-  const std::uint64_t per_sample = 2 + n_bytes * cross_per_byte;
-  const std::uint64_t fixed_words = 2 * 256 * n_bytes;
-  const std::uint64_t words = r.remaining() / sizeof(double);
-  if (r.remaining() % sizeof(double) != 0 || words < fixed_words ||
-      (words - fixed_words) % per_sample != 0 ||
-      (words - fixed_words) / per_sample != samples)
-    throw std::runtime_error(
-        "CpaEngine::deserialize: payload size does not match the geometry");
-  CpaEngine eng(static_cast<std::size_t>(samples), std::move(bytes),
-                model_tag == 0 ? aes::LeakageModel::kLastRoundHd
-                               : aes::LeakageModel::kFirstRoundHw,
-                mode_tag == 0 ? CpaMode::kStreaming : CpaMode::kBatched);
-  eng.n_ = static_cast<std::size_t>(n);
-  r.array(eng.sum_t_.data(), eng.sum_t_.size());
-  r.array(eng.sum_t2_.data(), eng.sum_t2_.size());
-  r.array(eng.sum_h_.data(), eng.sum_h_.size());
-  r.array(eng.sum_h2_.data(), eng.sum_h2_.size());
-  if (eng.mode_ == CpaMode::kStreaming) {
-    r.array(eng.sum_ht_.data(), eng.sum_ht_.size());
-  } else {
-    r.array(eng.class_w_.data(), eng.class_w_.size());
-    r.array(eng.class_d_.data(), eng.class_d_.size());
-  }
-  r.expect_end();
+  CpaSnapshot snap = parse_snapshot(blob, "CpaEngine::deserialize");
+  CpaEngine eng(snap.samples, std::move(snap.bytes), snap.model, snap.mode);
+  eng.fold(snap.n, snap.arrays);
   return eng;
+}
+
+void CpaEngine::merge(std::span<const unsigned char> blob) {
+  CpaSnapshot snap = parse_snapshot(blob, "CpaEngine::merge");
+  if (snap.samples != samples_ || snap.bytes != bytes_ ||
+      snap.model != model_ || snap.mode != mode_)
+    throw std::invalid_argument("CpaEngine::merge: snapshot geometry mismatch");
+  flush();
+  fold(snap.n, snap.arrays);
+}
+
+void CpaEngine::fold(std::uint64_t n, wire::Reader& arrays) {
+  n_ += static_cast<std::size_t>(n);
+  arrays.add_array(sum_t_.data(), sum_t_.size());
+  arrays.add_array(sum_t2_.data(), sum_t2_.size());
+  arrays.add_array(sum_h_.data(), sum_h_.size());
+  arrays.add_array(sum_h2_.data(), sum_h2_.size());
+  if (mode_ == CpaMode::kStreaming) {
+    arrays.add_array(sum_ht_.data(), sum_ht_.size());
+  } else {
+    arrays.add_array(class_w_.data(), class_w_.size());
+    arrays.add_array(class_d_.data(), class_d_.size());
+  }
 }
 
 void CpaEngine::add(const aes::Block& ciphertext,

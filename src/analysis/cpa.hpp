@@ -48,6 +48,10 @@
 #include "aes/aes128.hpp"
 #include "aes/leakage.hpp"
 
+namespace rftc::wire {
+class Reader;
+}  // namespace rftc::wire
+
 namespace rftc::analysis {
 
 /// Which accumulation engine a CpaEngine uses (see file comment).
@@ -97,15 +101,24 @@ class CpaEngine {
   /// then shard B's (the sharded-campaign contract; see docs/TESTING.md and
   /// tests/test_pbt_merge.cpp).  Throws std::invalid_argument on mismatch.
   void merge(const CpaEngine& other);
+  /// Folds a serialize() snapshot straight into this engine, without
+  /// building a second engine from it: bit-identical to
+  /// merge(deserialize(blob)).  Every check deserialize() runs (CRC, magic,
+  /// tags, byte positions, exact payload size) and the geometry match pass
+  /// before the first element is added, so a throw leaves this engine
+  /// untouched: std::runtime_error on a corrupt blob, std::invalid_argument
+  /// on a well-formed snapshot of another geometry.
+  void merge(std::span<const unsigned char> blob);
 
   /// Byte-exact snapshot of the engine state for the distributed campaign
   /// protocol: geometry (samples, byte positions, model, mode) plus every
   /// accumulator array, raw doubles/int64s with a trailing CRC-32.  Any
   /// buffered tile is flushed first, so the blob is independent of the
   /// batch size.  deserialize() reconstructs an engine whose merge() and
-  /// report() are bit-identical to the original; corrupt, truncated or
-  /// wrong-magic payloads throw std::runtime_error instead of merging
-  /// garbage.
+  /// report() are bit-identical to the original — it parses the header,
+  /// constructs the engine and folds the arrays in through the same code as
+  /// merge(blob); corrupt, truncated or wrong-magic payloads throw
+  /// std::runtime_error instead of merging garbage.
   std::vector<unsigned char> serialize() const;
   static CpaEngine deserialize(std::span<const unsigned char> blob);
 
@@ -131,6 +144,9 @@ class CpaEngine {
                    std::span<const float> trace);
   /// Drains the tile into the class sums (byte-sharded, class-sorted).
   void flush() const;
+  /// Adds a validated snapshot's `n` and arrays (`arrays` positioned at the
+  /// first one, holding exactly this geometry's payload) into this engine.
+  void fold(std::uint64_t n, wire::Reader& arrays);
   std::vector<ByteReport> report_streaming() const;
   std::vector<ByteReport> report_batched() const;
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -17,6 +18,7 @@
 
 #include "analysis/cpa.hpp"
 #include "obs/log.hpp"
+#include "obs/obs.hpp"
 #include "trace/trace_store.hpp"
 #include "util/stats.hpp"
 
@@ -72,6 +74,23 @@ std::span<const unsigned char> as_bytes(const std::string& blob) {
   return {reinterpret_cast<const unsigned char*>(blob.data()), blob.size()};
 }
 
+obs::Counter& shards_folded_counter() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("dist.shards_folded");
+  return c;
+}
+
+/// SIGKILLs and reaps every running worker: no child outlives a campaign
+/// that throws.  What they leave behind is a partial the next run ignores.
+void kill_workers(const std::map<pid_t, std::size_t>& running) {
+  for (const auto& [pid, idx] : running) ::kill(pid, SIGKILL);
+  for (const auto& [pid, idx] : running) {
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+  }
+}
+
 }  // namespace
 
 std::string default_worker_binary() {
@@ -113,7 +132,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // axis [0, max(nf, nr)) — each population clips to its own size inside
   // the worker.
   std::size_t span = 0;
-  std::size_t n_fixed = 0, n_random = 0, tvla_samples = 0;
+  std::size_t n_fixed = 0, n_random = 0, paired = 0, tvla_samples = 0;
   std::vector<std::size_t> eval_cuts;  // attack checkpoints / TVLA conv points
   if (spec.kind == CampaignKind::kAttack) {
     const trace::TraceStore store(spec.store);
@@ -131,7 +150,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     n_random = random.size();
     tvla_samples = fixed.samples();
     span = std::max(n_fixed, n_random);
-    const std::size_t paired = std::min(n_fixed, n_random);
+    paired = std::min(n_fixed, n_random);
     // run_tvla's schedule, plus the paired boundary itself so the lockstep
     // region ends on a cut.
     eval_cuts = analysis::tvla_checkpoints(paired);
@@ -157,6 +176,10 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   CampaignResult result;
   result.shards_total = shards.size();
+  // One snapshot buffer, reused across shards; `held` names the shard whose
+  // verified bytes it holds when that shard is next in range order.
+  std::string snapshot;
+  std::optional<std::size_t> held;
 
   // Resume scan: a shard whose manifest checkpoint still matches its
   // snapshot survived the previous run (however it died) and is reused.
@@ -164,7 +187,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   std::vector<std::size_t> queue;
   for (const ShardRange& shard : shards) {
     const std::string stem = shard_stem(dir, shard.index);
-    if (shard_complete(shard, stem + ".acc", stem + ".done.json")) {
+    if (shard_complete(shard, stem + ".acc", stem + ".done.json", snapshot)) {
       done_flags[shard.index] = true;
       ++result.shards_reused;
     } else {
@@ -172,56 +195,90 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   }
 
-  // Dispatch: up to `workers` concurrent children, kill detection via
-  // waitpid, bounded retries, and any terminal failure leaves the directory
-  // resumable.
+  // The merged prefix.  Shards fold in range order, and the prefix is
+  // scored the moment it reaches a checkpoint.  Every eval cut is a shard
+  // boundary, so the merged state there is bit-identical (exact sums) to
+  // the single-process accumulator at that checkpoint, and it is scored and
+  // recorded by the single-process code.
+  std::optional<analysis::CpaEngine> merged_cpa;
+  std::optional<WelchTTest> merged_welch;
+  aes::Block key{};
+  if (spec.kind == CampaignKind::kAttack) {
+    key = spec.key();
+    result.attack.kind = analysis::AttackKind::kCpa;
+  }
+  std::size_t next_fold = 0, next_cp = 0;
+  const auto fold_next = [&] {
+    const ShardRange& shard = shards[next_fold++];
+    // Only a shard that completed out of range order (or was reused) is
+    // read again here; the fold re-checks its CRC either way.
+    if (held != shard.index)
+      read_file(shard_stem(dir, shard.index) + ".acc", snapshot);
+    held.reset();
+    const std::span<const unsigned char> blob = as_bytes(snapshot);
+    RFTC_OBS_SPAN(span, "dist", "fold");
+    if (spec.kind == CampaignKind::kAttack) {
+      if (!merged_cpa)
+        merged_cpa.emplace(analysis::CpaEngine::deserialize(blob));
+      else
+        merged_cpa->merge(blob);
+      // Duplicate checkpoints evaluate twice, exactly like run_attack.
+      for (; next_cp < eval_cuts.size() && eval_cuts[next_cp] == shard.t1;
+           ++next_cp)
+        result.attack.record(
+            eval_cuts[next_cp],
+            analysis::evaluate_attack_checkpoint(*merged_cpa, key));
+    } else {
+      WelchTTest test = WelchTTest::deserialize(blob);
+      if (test.samples() != tvla_samples)
+        throw std::runtime_error(
+            "run_campaign: shard snapshot sample count mismatch");
+      if (!merged_welch)
+        merged_welch.emplace(std::move(test));
+      else
+        merged_welch->merge(test);
+      // Convergence entries at tvla_checkpoints — the same points run_tvla
+      // records before its final entry.
+      if (shard.t1 < paired &&
+          std::binary_search(eval_cuts.begin(), eval_cuts.end(), shard.t1))
+        result.tvla.record(
+            shard.t1,
+            scan_t(merged_welch->t_values(), analysis::kTvlaThreshold)
+                .max_abs_t);
+    }
+    shards_folded_counter().inc();
+  };
+
+  // One dispatch loop: up to `workers` concurrent children, kill detection
+  // via waitpid, bounded retries, and the in-order fold of every completed
+  // shard while the others still run.  Any terminal failure leaves the
+  // directory resumable.
   std::map<pid_t, std::size_t> running;
   std::vector<std::size_t> attempts(shards.size(), 0);
   std::vector<std::size_t> failed;
-  std::size_t next = 0;
-  while (next < queue.size() || !running.empty()) {
-    while (running.size() < options.workers && next < queue.size()) {
-      const std::size_t idx = queue[next++];
-      const ShardRange& shard = shards[idx];
-      const std::string stem = shard_stem(dir, idx);
-      ShardTask task;
-      task.spec = spec;
-      task.shard = shard;
-      task.acc_path = stem + ".acc";
-      task.done_path = stem + ".done.json";
-      write_file_atomic(stem + ".task.json", task_to_json(task));
-      ++attempts[idx];
-      const pid_t pid =
-          spawn_worker(binary, stem + ".task.json", child_env(stem));
-      if (pid < 0) {
-        if (attempts[idx] <= options.retries) {
-          ++result.worker_restarts;
-          queue.push_back(idx);
-        } else {
-          failed.push_back(idx);
-        }
-        continue;
-      }
-      running.emplace(pid, idx);
+  const auto retry_or_fail = [&](std::size_t idx) {
+    if (attempts[idx] <= options.retries) {
+      ++result.worker_restarts;
+      queue.push_back(idx);
+    } else {
+      failed.push_back(idx);
     }
-    if (running.empty()) break;
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, 0);
-    if (pid < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("run_campaign: waitpid failed: ") +
-                               std::strerror(errno));
-    }
+  };
+  const auto reap = [&](pid_t pid, int status) {
     const auto it = running.find(pid);
-    if (it == running.end()) continue;  // not one of ours
+    if (it == running.end()) return;  // not one of ours
     const std::size_t idx = it->second;
     running.erase(it);
     const std::string stem = shard_stem(dir, idx);
-    const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (clean &&
-        shard_complete(shards[idx], stem + ".acc", stem + ".done.json")) {
-      done_flags[idx] = true;
-      continue;
+    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+      // The buffer is about to be reused: fold the shard it holds first.
+      if (held) fold_next();
+      if (shard_complete(shards[idx], stem + ".acc", stem + ".done.json",
+                         snapshot)) {
+        done_flags[idx] = true;
+        if (idx == next_fold) held = idx;
+        return;
+      }
     }
     obs::log::warn(
         "dist", "worker attempt failed",
@@ -232,12 +289,51 @@ CampaignResult run_campaign(const CampaignSpec& spec,
          obs::log::kv("exit", WIFEXITED(status)
                                   ? static_cast<double>(WEXITSTATUS(status))
                                   : -1.0)});
-    if (attempts[idx] <= options.retries) {
-      ++result.worker_restarts;
-      queue.push_back(idx);
-    } else {
-      failed.push_back(idx);
+    retry_or_fail(idx);
+  };
+  try {
+    std::size_t next = 0;
+    for (;;) {
+      while (running.size() < options.workers && next < queue.size()) {
+        const std::size_t idx = queue[next++];
+        const std::string stem = shard_stem(dir, idx);
+        ShardTask task;
+        task.spec = spec;
+        task.shard = shards[idx];
+        task.acc_path = stem + ".acc";
+        task.done_path = stem + ".done.json";
+        write_file_atomic(stem + ".task.json", task_to_json(task));
+        ++attempts[idx];
+        const pid_t pid =
+            spawn_worker(binary, stem + ".task.json", child_env(stem));
+        if (pid < 0)
+          retry_or_fail(idx);
+        else
+          running.emplace(pid, idx);
+      }
+      const bool foldable = next_fold < shards.size() && done_flags[next_fold];
+      if (running.empty() && !foldable) break;
+      if (!running.empty()) {
+        // Reap first, so a freed slot is refilled before the coordinator
+        // spends time folding; block only when there is nothing to fold.
+        int status = 0;
+        const pid_t pid = ::waitpid(-1, &status, foldable ? WNOHANG : 0);
+        if (pid < 0) {
+          if (errno == EINTR) continue;
+          throw std::runtime_error(
+              std::string("run_campaign: waitpid failed: ") +
+              std::strerror(errno));
+        }
+        if (pid > 0) {
+          reap(pid, status);
+          continue;
+        }
+      }
+      fold_next();
     }
+  } catch (...) {
+    kill_workers(running);
+    throw;
   }
   if (!failed.empty()) {
     std::sort(failed.begin(), failed.end());
@@ -250,55 +346,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         "run_campaign: shards exhausted retries: {" + list +
         "}; the campaign directory is intact — rerun to resume");
   }
-
-  // Merge in range order.  Every eval cut is a shard boundary, so the
-  // merged prefix state at a checkpoint is bit-identical (exact sums) to
-  // the single-process accumulator there, and the evaluations below go
-  // through the exact single-process code paths.
-  if (spec.kind == CampaignKind::kAttack) {
-    const aes::Block key = spec.key();
-    result.attack.kind = analysis::AttackKind::kCpa;
-    std::optional<analysis::CpaEngine> merged;
-    std::size_t next_cp = 0;
-    for (const ShardRange& shard : shards) {
-      const std::string blob = read_file(shard_stem(dir, shard.index) + ".acc");
-      analysis::CpaEngine engine =
-          analysis::CpaEngine::deserialize(as_bytes(blob));
-      if (!merged)
-        merged.emplace(std::move(engine));
-      else
-        merged->merge(engine);
-      // Duplicate checkpoints evaluate twice, exactly like run_attack.
-      for (; next_cp < eval_cuts.size() && eval_cuts[next_cp] == shard.t1;
-           ++next_cp)
-        result.attack.record(
-            eval_cuts[next_cp],
-            analysis::evaluate_attack_checkpoint(*merged, key));
-    }
-  } else {
-    const std::size_t paired = std::min(n_fixed, n_random);
-    std::optional<WelchTTest> merged;
-    analysis::TvlaResult& res = result.tvla;
-    for (const ShardRange& shard : shards) {
-      const std::string blob = read_file(shard_stem(dir, shard.index) + ".acc");
-      WelchTTest test = WelchTTest::deserialize(as_bytes(blob));
-      if (test.samples() != tvla_samples)
-        throw std::runtime_error(
-            "run_campaign: shard snapshot sample count mismatch");
-      if (!merged)
-        merged.emplace(std::move(test));
-      else
-        merged->merge(test);
-      // Convergence entries at tvla_checkpoints — the same points run_tvla
-      // records before its final entry.
-      if (shard.t1 < paired &&
-          std::binary_search(eval_cuts.begin(), eval_cuts.end(), shard.t1))
-        res.record(shard.t1,
-                   scan_t(merged->t_values(), analysis::kTvlaThreshold)
-                       .max_abs_t);
-    }
-    res.finish(*merged, n_fixed);
-  }
+  if (spec.kind == CampaignKind::kTvla)
+    result.tvla.finish(*merged_welch, n_fixed);
   return result;
 }
 

@@ -1,13 +1,13 @@
 #include "dist/protocol.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +20,9 @@ namespace rftc::dist {
 namespace {
 
 using obs::json::Value;
+
+/// Bytes per read(2) call in read_file.
+constexpr std::size_t kReadChunk = std::size_t{1} << 20;
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::runtime_error("rftc::dist: " + what);
@@ -247,18 +250,24 @@ ShardDone done_from_json(std::string_view text) {
 }
 
 bool shard_complete(const ShardRange& shard, const std::string& acc_path,
-                    const std::string& done_path) {
+                    const std::string& done_path, std::string& acc) {
   try {
     const ShardDone done = done_from_json(read_file(done_path));
     if (done.shard.index != shard.index || done.shard.t0 != shard.t0 ||
         done.shard.t1 != shard.t1)
       return false;
-    const std::string blob = read_file(acc_path);
-    return blob.size() == done.acc_bytes &&
-           util::crc32(blob.data(), blob.size()) == done.acc_crc;
+    read_file(acc_path, acc);
+    return acc.size() == done.acc_bytes &&
+           util::crc32(acc.data(), acc.size()) == done.acc_crc;
   } catch (const std::exception&) {
     return false;
   }
+}
+
+bool shard_complete(const ShardRange& shard, const std::string& acc_path,
+                    const std::string& done_path) {
+  std::string acc;
+  return shard_complete(shard, acc_path, done_path, acc);
 }
 
 std::string shard_stem(const std::string& dir, std::size_t index) {
@@ -267,13 +276,40 @@ std::string shard_stem(const std::string& dir, std::size_t index) {
   return dir + "/shards/" + buf;
 }
 
+void read_file(const std::string& path, std::string& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) bad("cannot read " + path + ": " + std::strerror(errno));
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    bad("cannot stat " + path + ": " + std::strerror(err));
+  }
+  // Every file this protocol reads is published by rename and never
+  // changes after, so its fstat size is its size: read that many bytes in
+  // place (an early end of file just shortens the result).
+  out.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t len = 0;
+  while (len < out.size()) {
+    const ssize_t got = ::read(fd, out.data() + len,
+                               std::min(out.size() - len, kReadChunk));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      const int err = errno;
+      ::close(fd);
+      bad("read failed on " + path + ": " + std::strerror(err));
+    }
+    if (got == 0) break;
+    len += static_cast<std::size_t>(got);
+  }
+  ::close(fd);
+  out.resize(len);
+}
+
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) bad("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) bad("read failed on " + path);
-  return buf.str();
+  std::string out;
+  read_file(path, out);
+  return out;
 }
 
 void write_file_atomic(const std::string& path, std::string_view data) {

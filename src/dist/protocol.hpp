@@ -123,12 +123,20 @@ ShardDone done_from_json(std::string_view text);
 /// missing/corrupt/mismatched file is simply "not complete".
 bool shard_complete(const ShardRange& shard, const std::string& acc_path,
                     const std::string& done_path);
+/// Same check, leaving the snapshot bytes it read and verified in `acc`
+/// (whose capacity is reused), so a caller can fold them without reading
+/// the file again.  `acc` is unspecified when the result is false.
+bool shard_complete(const ShardRange& shard, const std::string& acc_path,
+                    const std::string& done_path, std::string& acc);
 
 /// Path stem for shard `index` under `dir`: <dir>/shards/shard_NNNN
 std::string shard_stem(const std::string& dir, std::size_t index);
 
-/// Whole-file read; throws std::runtime_error when unreadable.
+/// Whole-file read (open, fstat-sized buffer, read(2) loop); throws
+/// std::runtime_error ("rftc::dist: ...") when unreadable.
 std::string read_file(const std::string& path);
+/// Same, into `out`, reusing its capacity across calls.
+void read_file(const std::string& path, std::string& out);
 
 /// Crash-safe file write: tmp + fsync + rename + parent-directory fsync.
 void write_file_atomic(const std::string& path, std::string_view data);

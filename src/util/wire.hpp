@@ -104,6 +104,18 @@ class Reader {
     bytes(reinterpret_cast<unsigned char*>(data), count * sizeof(T));
   }
 
+  /// Adds the next `count` values elementwise into `into` — array()'s
+  /// merge-side twin, folding a snapshot without a second copy of it.
+  template <typename T>
+  void add_array(T* into, std::size_t count) {
+    const unsigned char* src = take(count * sizeof(T));
+    for (std::size_t i = 0; i < count; ++i) {
+      T v{};
+      std::memcpy(&v, src + i * sizeof(T), sizeof(T));
+      into[i] += v;
+    }
+  }
+
   /// Bytes not yet read.
   std::size_t remaining() const { return blob_.size(); }
 
@@ -114,10 +126,15 @@ class Reader {
   }
 
  private:
-  void bytes(unsigned char* dst, std::size_t n) {
+  const unsigned char* take(std::size_t n) {
     if (blob_.size() < n) fail("truncated");
-    std::memcpy(dst, blob_.data(), n);
+    const unsigned char* p = blob_.data();
     blob_ = blob_.subspan(n);
+    return p;
+  }
+
+  void bytes(unsigned char* dst, std::size_t n) {
+    std::memcpy(dst, take(n), n);
   }
 
   [[noreturn]] void fail(const std::string& why) const {

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -28,11 +29,13 @@
 #include "analysis/tvla.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
+#include "obs/metrics.hpp"
 #include "pbt/pbt.hpp"
 #include "rftc/device.hpp"
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
 #include "trace/trace_store.hpp"
+#include "util/crc32.hpp"
 #include "util/stats.hpp"
 #include "util/wire.hpp"
 #include "scratch.hpp"
@@ -313,6 +316,33 @@ TEST(DistProtocol, KeyHexCodec) {
                std::invalid_argument);
 }
 
+TEST(DistProtocol, ReadFileMissingEmptyAndMultiRead) {
+  const std::string dir = temp_dir("read_file");
+  try {
+    (void)read_file(dir + "/absent.bin");
+    ADD_FAILURE() << "a missing file must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("rftc::dist: ", 0), 0u) << e.what();
+  }
+
+  write_file_atomic(dir + "/empty.bin", "");
+  EXPECT_EQ(read_file(dir + "/empty.bin"), "");
+
+  // Several read(2) calls' worth (read_file reads 1 MiB per call), with a
+  // ragged tail; the buffer overload reuses a larger buffer's capacity.
+  std::string big(3 * (std::size_t{1} << 20) + 17, '\0');
+  std::mt19937 rng(0xF11E);
+  for (char& ch : big) ch = static_cast<char>(rng() & 0xFF);
+  write_file_atomic(dir + "/big.bin", big);
+  EXPECT_EQ(read_file(dir + "/big.bin"), big);
+  std::string buf(big.size() + 4096, 'x');
+  read_file(dir + "/big.bin", buf);
+  EXPECT_EQ(buf, big);
+  read_file(dir + "/empty.bin", buf);
+  EXPECT_EQ(buf, "");
+  fs::remove_all(dir);
+}
+
 // --------------------------------------------------------------------------
 // Shard planning
 
@@ -591,6 +621,216 @@ TEST(DistSerialize, CpaForgedGeometryRejectedBeforeAllocating) {
       << "1 = accepted, 2 = std::bad_alloc (allocated before validating)";
 }
 
+/// Byte offsets at which a CPA blob's sections start, plus its size: magic,
+/// the two tags, samples, byte count, trace count, byte positions, every
+/// accumulator array and the CRC trailer.
+std::vector<std::size_t> cpa_section_bounds(const analysis::CpaEngine& e,
+                                            aes::LeakageModel model) {
+  const std::size_t nb = e.byte_positions().size(), s = e.samples();
+  std::vector<std::size_t> lens = {8, 4, 4, 8, 8, 8, 4 * nb,
+                                   8 * s, 8 * s, 8 * 256 * nb, 8 * 256 * nb};
+  if (e.mode() == analysis::CpaMode::kStreaming) {
+    lens.push_back(8 * 256 * nb * s);
+  } else if (model == aes::LeakageModel::kLastRoundHd) {
+    lens.push_back(8 * nb * s);
+    lens.push_back(8 * nb * 256 * 8 * s);
+  } else {
+    lens.push_back(8 * nb * 256 * s);
+  }
+  lens.push_back(4);
+  std::vector<std::size_t> bounds = {0};
+  for (const std::size_t len : lens) bounds.push_back(bounds.back() + len);
+  return bounds;
+}
+
+/// `blob` with its trailing CRC replaced by a fresh seal over the rest, so
+/// a mutation reaches the parser behind the CRC check.
+std::vector<unsigned char> resealed(std::vector<unsigned char> blob) {
+  blob.resize(blob.size() >= 4 ? blob.size() - 4 : 0);
+  wire::seal(blob);
+  return blob;
+}
+
+/// The one-parser contract for a candidate blob: deserialize() and
+/// merge(blob) each either throw a typed error (std::runtime_error or
+/// std::invalid_argument) — merge leaving its target's serialize() bytes as
+/// they were — or accept it, and then deserialize() round-trips the blob
+/// and merge(blob) equals merge(deserialize(blob)).
+std::optional<std::string> blob_contract(std::span<const unsigned char> cand,
+                                         const analysis::CpaEngine& target) {
+  std::optional<analysis::CpaEngine> parsed;
+  try {
+    parsed.emplace(analysis::CpaEngine::deserialize(cand));
+  } catch (const std::runtime_error&) {
+  } catch (const std::invalid_argument&) {
+  } catch (const std::exception& e) {
+    return std::string("deserialize threw an untyped error: ") + e.what();
+  }
+  if (parsed) {
+    const std::vector<unsigned char> back = parsed->serialize();
+    if (!std::equal(back.begin(), back.end(), cand.begin(), cand.end()))
+      return "deserialize accepted a blob that does not round-trip";
+  }
+  analysis::CpaEngine merged = target;
+  const std::vector<unsigned char> before = merged.serialize();
+  try {
+    merged.merge(cand);
+  } catch (const std::runtime_error&) {
+    if (merged.serialize() != before) return "merge(blob) threw after mutating";
+    return std::nullopt;
+  } catch (const std::invalid_argument&) {
+    if (merged.serialize() != before) return "merge(blob) threw after mutating";
+    return std::nullopt;
+  } catch (const std::exception& e) {
+    return std::string("merge(blob) threw an untyped error: ") + e.what();
+  }
+  if (!parsed) return "merge(blob) accepted a blob deserialize rejects";
+  analysis::CpaEngine want = target;
+  want.merge(*parsed);
+  if (merged.serialize() != want.serialize())
+    return "merge(blob) differs from merge(deserialize(blob))";
+  return std::nullopt;
+}
+
+TEST(DistSerialize, CpaMergeBlobMatchesEngineMerge) {
+  for (const auto mode :
+       {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
+    // Two halves of one trace stream: merging the second half's blob into
+    // the first is bit-identical to the engine merge and to one engine fed
+    // everything (dyadic samples keep every sum exact).
+    const analysis::CpaEngine whole = make_synthetic_engine(mode, 24, 40);
+    analysis::CpaEngine a(24, {0, 3}, aes::LeakageModel::kLastRoundHd, mode);
+    analysis::CpaEngine b(24, {0, 3}, aes::LeakageModel::kLastRoundHd, mode);
+    std::mt19937 rng(0xC0FFEE);
+    for (std::size_t i = 0; i < 40; ++i) {
+      aes::Block ct{};
+      for (auto& bb : ct) bb = static_cast<std::uint8_t>(rng() & 0xFF);
+      std::vector<float> tr(24);
+      for (auto& v : tr)
+        v = static_cast<float>(static_cast<int>(rng() % 256) - 128) *
+            0.0078125f;
+      (i < 20 ? a : b).add(ct, tr);
+    }
+    analysis::CpaEngine by_engine = a;
+    by_engine.merge(b);
+    a.merge(b.serialize());  // a's tile is still unflushed here
+    EXPECT_EQ(a.count(), 40u);
+    EXPECT_EQ(a.serialize(), by_engine.serialize());
+    EXPECT_EQ(a.serialize(), whole.serialize());
+  }
+}
+
+TEST(DistSerialize, CpaMergeBlobRejectsOtherGeometryUntouched) {
+  const analysis::CpaEngine target =
+      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 40, {0, 3, 7});
+  analysis::CpaEngine first_round(24, {0, 3, 7},
+                                  aes::LeakageModel::kFirstRoundHw,
+                                  analysis::CpaMode::kBatched);
+  const std::vector<std::vector<unsigned char>> others = {
+      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 8, {0, 3, 8})
+          .serialize(),                                   // other byte set
+      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 8, {0, 3})
+          .serialize(),                                   // fewer bytes
+      first_round.serialize(),                            // other model
+      make_synthetic_engine(analysis::CpaMode::kBatched, 23, 8, {0, 3, 7})
+          .serialize(),                                   // other samples
+      make_synthetic_engine(analysis::CpaMode::kStreaming, 24, 8, {0, 3, 7})
+          .serialize(),                                   // other engine
+  };
+  const std::vector<unsigned char> before = target.serialize();
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    analysis::CpaEngine t = target;
+    EXPECT_THROW(t.merge(others[i]), std::invalid_argument) << "case " << i;
+    EXPECT_EQ(t.serialize(), before) << "case " << i;
+    EXPECT_FALSE(blob_contract(others[i], target)) << "case " << i;
+  }
+}
+
+TEST(DistSerialize, CpaBlobTruncatedAtEverySectionBoundary) {
+  for (const auto mode :
+       {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
+    const analysis::CpaEngine target =
+        make_synthetic_engine(mode, 24, 40, {0, 3, 7});
+    const std::vector<unsigned char> blob =
+        make_synthetic_engine(mode, 24, 16, {0, 3, 7}).serialize();
+    const std::vector<std::size_t> bounds =
+        cpa_section_bounds(target, aes::LeakageModel::kLastRoundHd);
+    ASSERT_EQ(bounds.back(), blob.size());
+    for (const std::size_t cut : bounds) {
+      for (const std::size_t len : {cut, cut > 0 ? cut - 1 : 0, cut + 1}) {
+        if (len >= blob.size()) continue;
+        const std::vector<unsigned char> prefix(blob.begin(),
+                                                blob.begin() + len);
+        for (const auto& cand : {prefix, resealed(prefix)}) {
+          const std::optional<std::string> bad = blob_contract(cand, target);
+          EXPECT_FALSE(bad) << *bad << " (length " << len << ")";
+          // A truncated snapshot is never a valid one.
+          analysis::CpaEngine t = target;
+          EXPECT_ANY_THROW(t.merge(cand)) << "length " << cand.size();
+        }
+      }
+    }
+  }
+}
+
+/// A random multi-byte mutation of a sealed CPA blob: `edits` bytes are
+/// XORed with a non-zero mask anywhere in the blob, or only inside the
+/// header and then resealed, so the mutation gets past the CRC.
+struct BlobMutation {
+  bool reseal = false;
+  std::vector<std::pair<std::size_t, unsigned char>> edits;
+};
+
+TEST(DistSerialize, CpaBlobRandomMutationsKeepTheParserContract) {
+  const analysis::CpaEngine target =
+      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 40, {0, 3, 7});
+  const std::vector<unsigned char> blob =
+      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 16, {0, 3, 7})
+          .serialize();
+  // Header: everything before the first accumulator array.
+  const std::size_t header =
+      cpa_section_bounds(target, aes::LeakageModel::kLastRoundHd)[7];
+  const auto apply = [&](const BlobMutation& m) {
+    std::vector<unsigned char> out = blob;
+    for (const auto& [at, mask] : m.edits) out[at] ^= mask;
+    return m.reseal ? resealed(std::move(out)) : out;
+  };
+  EXPECT_TRUE(pbt::check<BlobMutation>(
+      "cpa_blob_mutation",
+      [&](pbt::Rng& rng) {
+        BlobMutation m;
+        m.reseal = rng.uniform(2) == 1;
+        const std::size_t span = m.reseal ? header : blob.size();
+        const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform(4));
+        for (std::size_t i = 0; i < n; ++i)
+          m.edits.emplace_back(
+              static_cast<std::size_t>(rng.uniform(span)),
+              static_cast<unsigned char>(1 + rng.uniform(255)));
+        return m;
+      },
+      [&](const BlobMutation& m) { return blob_contract(apply(m), target); },
+      pbt::Config::from_env(0x3B10B5EED, 100),
+      [](const BlobMutation& m) {
+        // Shrink toward a single edit.
+        std::vector<BlobMutation> out;
+        for (std::size_t i = 0; m.edits.size() > 1 && i < m.edits.size();
+             ++i) {
+          BlobMutation fewer = m;
+          fewer.edits.erase(fewer.edits.begin() +
+                            static_cast<std::ptrdiff_t>(i));
+          out.push_back(std::move(fewer));
+        }
+        return out;
+      },
+      [&](const BlobMutation& m) {
+        std::ostringstream os;
+        os << (m.reseal ? "resealed" : "raw") << " edits:";
+        for (const auto& [at, mask] : m.edits)
+          os << " " << at << "^" << static_cast<unsigned>(mask);
+        return os.str();
+      }));
+}
+
 TEST(DistSerialize, WelchRoundTripAndCorruptionRejected) {
   WelchTTest test(16);
   std::mt19937 rng(0xBEEF);
@@ -862,6 +1102,60 @@ TEST(DistCampaign, KilledTvlaWorkerResumesBitIdentically) {
       run_campaign(spec, options_for(dir, 2, /*retries=*/0));
   EXPECT_GE(resumed.shards_reused, 1u);
   expect_tvla_identical(resumed.tvla, baseline);
+  fs::remove_all(dir);
+}
+
+TEST(DistCampaign, ShardsFoldedCounterCountsEveryShard) {
+  const CampaignSpec spec = attack_spec(analysis::CpaMode::kBatched);
+  const std::string dir = temp_dir("folded_counter");
+  const obs::Counter& folded =
+      obs::Registry::global().counter("dist.shards_folded");
+  const std::uint64_t before = folded.value();
+  const CampaignResult result = run_campaign(spec, options_for(dir, 2));
+  EXPECT_EQ(folded.value() - before, result.shards_total);
+  fs::remove_all(dir);
+}
+
+TEST(DistCampaign, FoldFailureKillsAndReapsEveryWorker) {
+  const Corpus& c = corpus();
+  const CampaignSpec spec = attack_spec(analysis::CpaMode::kBatched);
+  const trace::TraceStore store(c.attack_store);
+  const analysis::AttackOutcome baseline =
+      analysis::run_attack(store, spec.key(), spec.attack_params());
+  const std::vector<ShardRange> plan =
+      plan_shards(c.n_attack, 2, spec.checkpoints);
+  ASSERT_GE(plan.size(), 3u);
+
+  // Shard 1 holds a sealed snapshot that is not a CpaEngine (a Welch one),
+  // with a manifest whose size and CRC match it: it passes shard_complete
+  // and is reused, and only its fold can tell — while workers still run.
+  const std::string dir = temp_dir("fold_failure");
+  fs::create_directories(dir + "/shards");
+  const std::string stem = shard_stem(dir, 1);
+  const std::vector<unsigned char> foreign = WelchTTest(8).serialize();
+  write_file_atomic(stem + ".acc",
+                    std::string_view(reinterpret_cast<const char*>(
+                                         foreign.data()),
+                                     foreign.size()));
+  ShardDone done;
+  done.shard = plan[1];
+  done.acc_bytes = foreign.size();
+  done.acc_crc = util::crc32(foreign.data(), foreign.size());
+  write_file_atomic(stem + ".done.json", done_to_json(done));
+
+  EXPECT_THROW(run_campaign(spec, options_for(dir, 2)), std::runtime_error);
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1)
+      << "a worker outlived the throw";
+  EXPECT_EQ(errno, ECHILD);
+
+  // The directory stays resumable: with the foreign snapshot gone, a rerun
+  // reuses what the first run completed and matches the single process.
+  fs::remove(stem + ".done.json");
+  const CampaignResult resumed = run_campaign(spec, options_for(dir, 2));
+  EXPECT_EQ(resumed.worker_restarts, 0u);
+  expect_attack_identical(resumed.attack, baseline);
   fs::remove_all(dir);
 }
 
