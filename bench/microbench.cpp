@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aes/leakage.hpp"
@@ -135,8 +136,9 @@ BENCHMARK(BM_CpaAddBatched16)->Arg(125);
 
 /// Feeds `n` random traces so a report pass sees realistic class sums.
 analysis::CpaEngine filled_engine(analysis::CpaMode mode, std::size_t samples,
-                                  std::size_t n) {
-  analysis::CpaEngine engine(samples, {0, 5, 10, 15},
+                                  std::size_t n,
+                                  std::vector<int> bytes = {0, 5, 10, 15}) {
+  analysis::CpaEngine engine(samples, std::move(bytes),
                              aes::LeakageModel::kLastRoundHd, mode);
   Xoshiro256StarStar rng(11);
   std::vector<float> tr(samples);
@@ -164,6 +166,31 @@ void BM_CpaReportBatched(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(engine.report());
 }
 BENCHMARK(BM_CpaReportBatched)->Arg(250)->Unit(benchmark::kMillisecond);
+
+/// A cpa-reattack checkpoint: all 16 bytes over 2,048 random traces.
+void BM_CpaReportBatched16(benchmark::State& state) {
+  std::vector<int> bytes(16);
+  for (int b = 0; b < 16; ++b) bytes[static_cast<std::size_t>(b)] = b;
+  const auto engine = filled_engine(
+      analysis::CpaMode::kBatched, static_cast<std::size_t>(state.range(0)),
+      2'048, std::move(bytes));
+  for (auto _ : state) benchmark::DoNotOptimize(engine.report());
+}
+BENCHMARK(BM_CpaReportBatched16)->Arg(125)->Unit(benchmark::kMillisecond);
+
+/// One report panel: the 256-point WHT down `width` sample columns.
+void BM_Wht256(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  // Zeros stay zeros under the transform; random values would grow 16x per
+  // pass until they overflow.  Adds and subtracts take the same time on
+  // either, and neither produces denormals.
+  std::vector<double> panel(256 * width, 0.0);
+  for (auto _ : state) {
+    simd::wht256(panel.data(), width);
+    benchmark::DoNotOptimize(panel.data());
+  }
+}
+BENCHMARK(BM_Wht256)->Arg(128);
 
 void BM_ParallelFor(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

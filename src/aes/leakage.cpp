@@ -66,17 +66,23 @@ std::array<std::uint8_t, 256> first_round_hypothesis_row(const Block& pt,
 
 void last_round_hypothesis_row_into(const Block& ct, int byte_pos,
                                     std::uint8_t* row) {
-  const ModelTables& t = model_tables();
-  const std::uint8_t c_p = ct[static_cast<std::size_t>(byte_pos)];
-  const std::uint8_t c_src =
-      ct[static_cast<std::size_t>(shift_rows_source(byte_pos))];
-  simd::xor_popcount(t.inv_rows[c_p], c_src, row, 256);
+  last_round_hypothesis_row_into(
+      ct[static_cast<std::size_t>(byte_pos)],
+      ct[static_cast<std::size_t>(shift_rows_source(byte_pos))], row);
 }
 
 void first_round_hypothesis_row_into(const Block& pt, int byte_pos,
                                      std::uint8_t* row) {
-  const ModelTables& t = model_tables();
-  std::memcpy(row, t.hw_rows[pt[static_cast<std::size_t>(byte_pos)]], 256);
+  first_round_hypothesis_row_into(pt[static_cast<std::size_t>(byte_pos)], row);
+}
+
+void last_round_hypothesis_row_into(std::uint8_t x, std::uint8_t y,
+                                    std::uint8_t* row) {
+  simd::xor_popcount(model_tables().inv_rows[x], y, row, 256);
+}
+
+void first_round_hypothesis_row_into(std::uint8_t x, std::uint8_t* row) {
+  std::memcpy(row, model_tables().hw_rows[x], 256);
 }
 
 }  // namespace rftc::aes

@@ -45,6 +45,15 @@ void last_round_hypothesis_row_into(const Block& ct, int byte_pos,
 void first_round_hypothesis_row_into(const Block& pt, int byte_pos,
                                      std::uint8_t* row);
 
+/// The same rows from the one or two data bytes they depend on: the class
+/// byte x = ct[byte_pos] and its ShiftRows partner y =
+/// ct[shift_rows_source(byte_pos)] for the last round, x = pt[byte_pos] for
+/// the first.  The Block overloads above are wrappers around these; the
+/// CPA engine buffers (x, y) per trace instead of whole blocks.
+void last_round_hypothesis_row_into(std::uint8_t x, std::uint8_t y,
+                                    std::uint8_t* row);
+void first_round_hypothesis_row_into(std::uint8_t x, std::uint8_t* row);
+
 /// Which intermediate a CPA campaign predicts.
 enum class LeakageModel {
   /// HD of the state register across the final round (hardware AES [13]);

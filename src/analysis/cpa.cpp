@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
@@ -24,8 +25,14 @@ namespace {
 /// Guesses per streaming-report shard.  A pure constant: shard boundaries
 /// must never depend on the thread count (see util/parallel.hpp).
 constexpr std::size_t kGuessGrain = 32;
-/// WHT panel width in samples.  One [256][kPanel] panel is 32 KiB.
-constexpr std::size_t kPanel = 16;
+/// Widest report panel in samples: a [256][kPanel] panel is 256 KiB.
+constexpr std::size_t kPanel = 128;
+/// Report shards a few attacked bytes should still spread over, so a
+/// one-byte report does not run on one thread.
+constexpr std::size_t kMinReportShards = 8;
+/// Traces a flush shard counts into its 16-bit hypothesis counters before
+/// spilling them into the int64 sums: h <= 8, so h^2 * 1,023 < 2^16.
+constexpr std::size_t kHypSpill = 1'023;
 
 obs::Counter& flush_counter() {
   static obs::Counter& c = obs::Registry::global().counter("cpa.flushes");
@@ -35,32 +42,6 @@ obs::Counter& flush_counter() {
 obs::Counter& report_counter() {
   static obs::Counter& c = obs::Registry::global().counter("cpa.reports");
   return c;
-}
-
-/// In-place length-256 Walsh–Hadamard transform of one value per index.
-void wht256(std::array<double, 256>& v) {
-  for (std::size_t half = 1; half < 256; half <<= 1) {
-    for (std::size_t base = 0; base < 256; base += 2 * half) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const double a = v[base + j], b = v[base + j + half];
-        v[base + j] = a + b;
-        v[base + j + half] = a - b;
-      }
-    }
-  }
-}
-
-/// In-place WHT over the index dimension of a [256][kPanel] row-major
-/// panel, vectorised over the kPanel sample lanes.
-void wht_panel(double* p) {
-  for (std::size_t half = 1; half < 256; half <<= 1) {
-    for (std::size_t base = 0; base < 256; base += 2 * half) {
-      for (std::size_t j = 0; j < half; ++j) {
-        simd::butterfly(p + (base + j) * kPanel,
-                        p + (base + j + half) * kPanel, kPanel);
-      }
-    }
-  }
 }
 
 /// WHT spectra of the model's guess kernels.  report() computes
@@ -81,7 +62,7 @@ const KernelSpectra& kernel_spectra(aes::LeakageModel model) {
       for (std::size_t z = 0; z < 256; ++z)
         ks.mhat[static_cast<std::size_t>(k)][z] =
             static_cast<double>((gf::kInvSbox[z] >> k) & 1);
-      wht256(ks.mhat[static_cast<std::size_t>(k)]);
+      simd::wht256(ks.mhat[static_cast<std::size_t>(k)].data(), 1);
     }
     return ks;
   }();
@@ -91,10 +72,30 @@ const KernelSpectra& kernel_spectra(aes::LeakageModel model) {
     for (std::size_t z = 0; z < 256; ++z)
       ks.mhat[0][z] = static_cast<double>(
           std::popcount(static_cast<unsigned>(gf::kSbox[z])));
-    wht256(ks.mhat[0]);
+    simd::wht256(ks.mhat[0].data(), 1);
     return ks;
   }();
   return model == aes::LeakageModel::kLastRoundHd ? last : first;
+}
+
+/// Samples per report block — a report shard is one (byte, block) — as a
+/// pure function of the geometry: kPanel, or narrower (down to 16, in
+/// whole AVX2 vectors) until the report has kMinReportShards shards.
+std::size_t report_block(std::size_t n_bytes, std::size_t samples) {
+  const std::size_t blocks = (kMinReportShards + n_bytes - 1) / n_bytes;
+  const std::size_t width = (samples + blocks - 1) / blocks;
+  return std::clamp<std::size_t>((width + 3) & ~std::size_t{3}, 16, kPanel);
+}
+
+/// Throws std::invalid_argument unless a tile of `batch` traces is
+/// addressable: the class sort indexes it with uint32_t, and neither
+/// batch * samples nor batch * bytes may wrap.
+void check_batch(std::size_t batch, std::size_t samples, std::size_t n_bytes) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (batch == 0) throw std::invalid_argument("CpaEngine: zero batch size");
+  if (batch > std::numeric_limits<std::uint32_t>::max() ||
+      batch > kMax / samples || batch > kMax / n_bytes)
+    throw std::invalid_argument("CpaEngine: batch size overflows the tile");
 }
 
 }  // namespace
@@ -124,6 +125,7 @@ CpaEngine::CpaEngine(std::size_t samples, std::vector<int> byte_positions,
   for (const int b : bytes_)
     if (b < 0 || b > 15)
       throw std::invalid_argument("CpaEngine: byte position out of range");
+  check_batch(batch_, samples_, bytes_.size());
   sum_t_.assign(samples_, 0.0);
   sum_t2_.assign(samples_, 0.0);
   sum_h_.assign(bytes_.size() * 256, 0);
@@ -144,7 +146,7 @@ CpaEngine::CpaEngine(std::size_t samples, std::vector<int> byte_positions,
 }
 
 void CpaEngine::set_batch_size(std::size_t batch) {
-  if (batch == 0) throw std::invalid_argument("CpaEngine: zero batch size");
+  check_batch(batch, samples_, bytes_.size());
   if (mode_ != CpaMode::kBatched) {
     batch_ = batch;
     return;
@@ -354,28 +356,19 @@ void CpaEngine::add_batched(const aes::Block& plaintext,
   const std::size_t i = tile_count_;
   std::memcpy(tile_traces_.data() + i * samples_, trace.data(),
               samples_ * sizeof(float));
+  // Class inputs: the hypothesis for guess g is a function of (x ^ g, y)
+  // only, so the flush needs nothing else of the two blocks.
+  std::uint8_t* x = tile_x_.data() + i * bytes_.size();
+  std::uint8_t* y = tile_y_.data() + i * bytes_.size();
   for (std::size_t bi = 0; bi < bytes_.size(); ++bi) {
     const int p = bytes_[bi];
-    // Class inputs: the hypothesis for guess g is a function of (x ^ g, y)
-    // only, so per-class sums capture everything the report needs.
     if (model_ == aes::LeakageModel::kLastRoundHd) {
-      tile_x_[i * bytes_.size() + bi] = ciphertext[static_cast<std::size_t>(p)];
-      tile_y_[i * bytes_.size() + bi] =
-          ciphertext[static_cast<std::size_t>(aes::shift_rows_source(p))];
+      x[bi] = ciphertext[static_cast<std::size_t>(p)];
+      y[bi] = ciphertext[static_cast<std::size_t>(aes::shift_rows_source(p))];
     } else {
-      tile_x_[i * bytes_.size() + bi] = plaintext[static_cast<std::size_t>(p)];
-      tile_y_[i * bytes_.size() + bi] = 0;
+      x[bi] = plaintext[static_cast<std::size_t>(p)];
+      y[bi] = 0;
     }
-    // Scalar sums stay exact int64 and order-independent.  The S-box/HW
-    // lookup is hoisted into the leakage model tables, so this is one
-    // contiguous XOR+popcount row plus one vectorized integer sum.
-    alignas(32) std::uint8_t row[256];
-    if (model_ == aes::LeakageModel::kLastRoundHd)
-      aes::last_round_hypothesis_row_into(ciphertext, p, row);
-    else
-      aes::first_round_hypothesis_row_into(plaintext, p, row);
-    simd::hyp_sums(row, sum_h_.data() + bi * 256, sum_h2_.data() + bi * 256,
-                   256);
   }
   if (++tile_count_ == batch_) flush();
 }
@@ -426,24 +419,53 @@ void CpaEngine::flush() const {
       for (std::size_t i = 0; i < nb; ++i)
         order[next[x_of(i)]++] = static_cast<std::uint32_t>(i);
 
+      // The byte's hypothesis sums ride along: every trace's 256-guess row
+      // is counted into 16-bit lanes, spilled into the exact int64 sums
+      // before they can wrap.  Integer sums do not care about order.
+      alignas(32) std::uint8_t row[256];
+      alignas(32) std::uint16_t h1[256] = {};
+      alignas(32) std::uint16_t h2[256] = {};
+      std::size_t counted = 0;
+      const auto spill = [&] {
+        std::int64_t* sh = sum_h_.data() + bi * 256;
+        std::int64_t* sh2 = sum_h2_.data() + bi * 256;
+        for (std::size_t g = 0; g < 256; ++g) {
+          sh[g] += h1[g];
+          sh2[g] += h2[g];
+          h1[g] = h2[g] = 0;
+        }
+        counted = 0;
+      };
+
       for (std::size_t x = 0; x < 256; ++x) {
         double* dx = class_d_.data() + (bi * 256 + x) * planes * samples_;
         for (std::uint32_t r = start[x]; r < start[x + 1]; ++r) {
           const std::size_t i = order[r];
           const float* tr = tile_traces_.data() + i * samples_;
-          if (!last_round) {
+          if (last_round) {
+            const unsigned y = tile_y_[i * n_bytes + bi];
+            for (std::size_t k = 0; k < 8; ++k) {
+              if ((y >> k) & 1)
+                simd::sub_f(tr, dx + k * samples_, samples_);
+              else
+                simd::add_f(tr, dx + k * samples_, samples_);
+            }
+            aes::last_round_hypothesis_row_into(
+                static_cast<std::uint8_t>(x), static_cast<std::uint8_t>(y),
+                row);
+          } else {
             simd::add_f(tr, dx, samples_);
-            continue;
+            aes::first_round_hypothesis_row_into(static_cast<std::uint8_t>(x),
+                                                 row);
           }
-          const unsigned y = tile_y_[i * n_bytes + bi];
-          for (std::size_t k = 0; k < 8; ++k) {
-            if ((y >> k) & 1)
-              simd::sub_f(tr, dx + k * samples_, samples_);
-            else
-              simd::add_f(tr, dx + k * samples_, samples_);
+          for (std::size_t g = 0; g < 256; ++g) {
+            h1[g] = static_cast<std::uint16_t>(h1[g] + row[g]);
+            h2[g] = static_cast<std::uint16_t>(h2[g] + row[g] * row[g]);
           }
+          if (++counted == kHypSpill) spill();
         }
       }
+      spill();
     }
   });
 }
@@ -504,7 +526,9 @@ std::vector<CpaEngine::ByteReport> CpaEngine::report_batched() const {
   const KernelSpectra& ks = kernel_spectra(model_);
   const std::size_t planes = static_cast<std::size_t>(ks.planes);
   const bool last_round = model_ == aes::LeakageModel::kLastRoundHd;
-  const std::size_t n_blocks = (samples_ + kPanel - 1) / kPanel;
+  const std::size_t block = report_block(bytes_.size(), samples_);
+  const std::size_t n_blocks = (samples_ + block - 1) / block;
+  const std::size_t scratch_len = 2 * 256 * std::min(block, samples_);
 
   // Per-(byte, sample-block) peak partials, max-merged per guess below.
   // max() is order-independent, so the merge order cannot matter; shards
@@ -513,35 +537,37 @@ std::vector<CpaEngine::ByteReport> CpaEngine::report_batched() const {
 
   par::parallel_for(
       0, bytes_.size() * n_blocks, 1, [&](std::size_t j0, std::size_t j1) {
-        alignas(64) double panel[256 * kPanel];
-        alignas(64) double acc[256 * kPanel];
+        // Two [256][sb] panels per worker (at most 512 KiB), kept across
+        // shards and reports.
+        thread_local std::vector<double> scratch;
+        if (scratch.size() < scratch_len) scratch.resize(scratch_len);
         for (std::size_t j = j0; j < j1; ++j) {
           const std::size_t bi = j / n_blocks;
-          const std::size_t s0 = (j % n_blocks) * kPanel;
-          const std::size_t sb = std::min(kPanel, samples_ - s0);
+          const std::size_t s0 = (j % n_blocks) * block;
+          const std::size_t sb = std::min(block, samples_ - s0);
+          double* panel = scratch.data();
+          double* acc = panel + 256 * sb;
           // Materialise sum_ht[g][s0..s0+sb) for all 256 guesses at once:
           // an XOR-convolution of the kernel bit planes with the class
           // sums, done as pointwise products in the WHT domain (one
           // forward transform per plane, one inverse for the total).
-          for (double& v : acc) v = 0.0;
+          std::fill(acc, acc + 256 * sb, 0.0);
           for (std::size_t k = 0; k < planes; ++k) {
             const std::size_t stride = planes * samples_;
-            for (std::size_t x = 0; x < 256; ++x) {
-              const double* src = class_d_.data() +
-                                  (bi * 256 + x) * stride + k * samples_ + s0;
-              double* dst = panel + x * kPanel;
-              for (std::size_t s = 0; s < sb; ++s) dst[s] = src[s];
-              for (std::size_t s = sb; s < kPanel; ++s) dst[s] = 0.0;
-            }
-            wht_panel(panel);
+            for (std::size_t x = 0; x < 256; ++x)
+              std::memcpy(panel + x * sb,
+                          class_d_.data() + (bi * 256 + x) * stride +
+                              k * samples_ + s0,
+                          sb * sizeof(double));
+            simd::wht256(panel, sb);
             const std::array<double, 256>& mk = ks.mhat[k];
             for (std::size_t v = 0; v < 256; ++v) {
               const double m = mk[v];
               if (m == 0.0) continue;
-              simd::axpy(m, panel + v * kPanel, acc + v * kPanel, kPanel);
+              simd::axpy(m, panel + v * sb, acc + v * sb, sb);
             }
           }
-          wht_panel(acc);  // inverse = forward followed by the 2^-8 scale
+          simd::wht256(acc, sb);  // inverse = forward, then the 2^-8 scale
           const double* wrow =
               last_round ? class_w_.data() + bi * samples_ + s0 : nullptr;
           double* peaks = partial.data() + j * 256;
@@ -550,7 +576,7 @@ std::vector<CpaEngine::ByteReport> CpaEngine::report_batched() const {
             const double sh2 = static_cast<double>(sum_h2_[bi * 256 + g]);
             peaks[g] = simd::peak_abs_correlation_scaled(
                 n, sh, sh2, sum_t_.data() + s0, sum_t2_.data() + s0,
-                acc + g * kPanel, wrow, 0x1.0p-8, sb);
+                acc + g * sb, wrow, 0x1.0p-8, sb);
           }
         }
       });

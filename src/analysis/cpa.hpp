@@ -19,21 +19,37 @@
 //    (W and sign-weighted per-bit-plane partial sums D indexed by the
 //    ciphertext byte x) at ~9·S work per trace instead of 256·S, and
 //    report() materialises sum_ht for all 256 guesses at once as an
-//    XOR-convolution via the Walsh–Hadamard transform.  Traces buffer into
-//    a tile of `batch_size()`.  A flush is one parallel_for with one shard
-//    per attacked byte plus one for the per-sample trace sums.  A byte's
-//    shard stable-sorts the tile by class x and walks it class by class,
-//    so a class's bit-plane rows (8 KB at S=125) stay in L1 while all of
-//    its traces in the tile land in them — one row-group load per class
-//    per tile instead of one per trace.
+//    XOR-convolution via the Walsh–Hadamard transform.
+//
+//    add() only buffers: it copies the trace into a tile of `batch_size()`
+//    and records each attacked byte's class inputs (x, y).  The flush owns
+//    everything else.  It is one parallel_for with one shard per attacked
+//    byte plus one for the per-sample trace sums.  A byte's shard
+//    stable-sorts the tile by class x and walks it class by class, so a
+//    class's bit-plane rows (8 KB at S=125) stay in L1 while all of its
+//    traces in the tile land in them — one row-group load per class per
+//    tile instead of one per trace.  The same walk rebuilds each trace's
+//    256-guess hypothesis row from (x, y) and counts it into the byte's
+//    integer sums sum_h/sum_h2.
+//
+//    The report is one parallel_for over (byte, ≤128-sample block) shards
+//    (blocks narrow to as few as 16 samples so that a report on one or two
+//    bytes still has 8 shards).  A shard copies each bit plane's 256 class
+//    rows into a dense [256][≤128] panel, transforms it with simd::wht256
+//    (the whole 256-point WHT down the panel's rows), accumulates the
+//    spectra-weighted planes, transforms back and scans every guess's
+//    correlation over the block with one peak_abs_correlation_scaled call.
+//    Per-block peaks merge by max().
 //
 // Determinism: every per-element floating-point accumulation happens in
 // trace order regardless of tile boundaries.  The class sort is stable, so
 // each class-sum element still sees its traces in trace order; W and the
-// trace sums are walked in plain trace order.  Flush/report shards are a
-// pure function of (bytes, samples).  So batched results are bit-identical
-// for any input — not only quantized traces — any RFTC_THREADS and any
-// batch size.  On raw ADC traces (multiples
+// trace sums are walked in plain trace order.  The hypothesis sums are
+// exact integers, so their order is free.  Every WHT element sees the same
+// add/sub sequence whatever the panel width or kernel backend.  Flush and
+// report shards are a pure function of (bytes, samples).  So batched
+// results are bit-identical for any input — not only quantized traces —
+// any RFTC_THREADS and any batch size.  On raw ADC traces (multiples
 // of the 400/256 mV quantum) every product and partial sum is an exact
 // small multiple of that quantum, so the batched engine is additionally
 // bit-identical to the streaming reference — the golden determinism test
@@ -89,6 +105,9 @@ class CpaEngine {
   std::size_t batch_size() const { return batch_; }
   /// Resizes the tile (batched mode; flushes any buffered traces first).
   /// Results are independent of the batch size — this is a tuning knob.
+  /// Throws std::invalid_argument for 0, for more than UINT32_MAX traces
+  /// and for a tile whose size in samples or class bytes would overflow —
+  /// as the constructor does for RFTC_CPA_BATCH.
   void set_batch_size(std::size_t batch);
 
   /// Folds another engine's accumulated state into this one.  Both engines
@@ -160,8 +179,9 @@ class CpaEngine {
   // Shared per-sample sums (batched mode updates them during flush).
   mutable std::vector<double> sum_t_, sum_t2_;
   // Per (byte, guess) scalar hypothesis sums.  h is an integer in 0..8, so
-  // int64 accumulation is exact and trivially order-independent.
-  std::vector<std::int64_t> sum_h_, sum_h2_;
+  // int64 accumulation is exact and trivially order-independent (batched
+  // mode updates them during flush).
+  mutable std::vector<std::int64_t> sum_h_, sum_h2_;
 
   // --- kStreaming state ---
   // Per (byte, guess, sample) cross sums, layout [b][g][s].
@@ -177,7 +197,8 @@ class CpaEngine {
   mutable std::vector<double> class_w_;
   mutable std::vector<double> class_d_;
   // Tile of buffered traces (kept as raw float — no per-trace double copy)
-  // and their per-byte class inputs x (and y for the last-round model).
+  // and their per-byte class inputs x (and y for the last-round model),
+  // from which the flush also rebuilds the hypothesis rows.
   mutable std::vector<float> tile_traces_;
   mutable std::vector<std::uint8_t> tile_x_, tile_y_;
   mutable std::size_t tile_count_ = 0;

@@ -15,7 +15,7 @@ struct KernelTable {
   void (*sub_f)(const float*, double*, std::size_t);
   void (*axpy)(double, const double*, double*, std::size_t);
   void (*axpy_f)(double, const float*, double*, std::size_t);
-  void (*butterfly)(double*, double*, std::size_t);
+  void (*wht256)(double*, std::size_t);
   void (*welford_update)(const double*, double*, double*, double*,
                          std::size_t);
   void (*welford_update_f)(const float*, double*, double*, double*,

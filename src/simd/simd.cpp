@@ -62,11 +62,19 @@ void s_axpy_f(double a, const float* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * static_cast<double>(x[i]);
 }
 
-void s_butterfly(double* a, double* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = a[i], y = b[i];
-    a[i] = x + y;
-    b[i] = x - y;
+void s_wht256(double* p, std::size_t w) {
+  for (std::size_t half = 1; half < 256; half <<= 1) {
+    for (std::size_t base = 0; base < 256; base += 2 * half) {
+      for (std::size_t j = base; j < base + half; ++j) {
+        double* a = p + j * w;
+        double* b = a + half * w;
+        for (std::size_t i = 0; i < w; ++i) {
+          const double x = a[i], y = b[i];
+          a[i] = x + y;
+          b[i] = x - y;
+        }
+      }
+    }
   }
 }
 
@@ -237,7 +245,7 @@ const KernelTable& scalar_table() {
       s_sub_f,
       s_axpy,
       s_axpy_f,
-      s_butterfly,
+      s_wht256,
       s_welford_update,
       s_welford_update_f,
       s_welch_t,
@@ -302,8 +310,8 @@ void axpy_f(double a, const float* x, double* y, std::size_t n) {
   table().axpy_f(a, x, y, n);
 }
 
-void butterfly(double* a, double* b, std::size_t n) {
-  table().butterfly(a, b, n);
+void wht256(double* panel, std::size_t width) {
+  table().wht256(panel, width);
 }
 
 void welford_update(const double* x, double* cnt, double* mean, double* m2,

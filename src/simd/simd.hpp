@@ -82,9 +82,12 @@ void axpy(double a, const double* x, double* y, std::size_t n);
 /// y[i] += a * (double)x[i].
 void axpy_f(double a, const float* x, double* y, std::size_t n);
 
-/// In-place butterfly: (a[i], b[i]) = (a[i] + b[i], a[i] - b[i]) — the
-/// Walsh–Hadamard panel primitive.  a and b must not overlap.
-void butterfly(double* a, double* b, std::size_t n);
+/// In-place length-256 Walsh–Hadamard transform down the rows of a
+/// [256][width] row-major panel: stage h = 1, 2, ..., 128 replaces each
+/// pair of rows a = row r, b = row r + h (r & h == 0) with (a + b, a − b),
+/// elementwise over the width columns.  The AVX2 backend fuses stage pairs
+/// in registers (radix-4) without changing any element's add/sub sequence.
+void wht256(double* panel, std::size_t width);
 
 /// One Welford update per lane: cnt[i] += 1; delta = x[i] - mean[i];
 /// mean[i] += delta / cnt[i]; m2[i] += delta * (x[i] - mean[i]).

@@ -96,18 +96,42 @@ void v_axpy_f(double a, const float* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += a * static_cast<double>(x[i]);
 }
 
-void v_butterfly(double* a, double* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(a + i);
-    const __m256d y = _mm256_loadu_pd(b + i);
-    _mm256_storeu_pd(a + i, _mm256_add_pd(x, y));
-    _mm256_storeu_pd(b + i, _mm256_sub_pd(x, y));
-  }
-  for (; i < n; ++i) {
-    const double x = a[i], y = b[i];
-    a[i] = x + y;
-    b[i] = x - y;
+// Radix-4 WHT: rows (r, r + h, r + 2h, r + 3h) take stage h and then
+// stage 2h while in registers.  Stage h pairs (r, r + h) and
+// (r + 2h, r + 3h); stage 2h pairs (r, r + 2h) and (r + h, r + 3h) — the
+// very operands the scalar stage loop feeds each element, so the bits
+// match.  256 = 4^4: four passes, h = 1, 4, 16, 64.
+void v_wht256(double* p, std::size_t w) {
+  for (std::size_t h = 1; h < 256; h <<= 2) {
+    for (std::size_t base = 0; base < 256; base += 4 * h) {
+      for (std::size_t j = base; j < base + h; ++j) {
+        double* r0 = p + j * w;
+        double* r1 = r0 + h * w;
+        double* r2 = r1 + h * w;
+        double* r3 = r2 + h * w;
+        std::size_t i = 0;
+        for (; i + 4 <= w; i += 4) {
+          const __m256d a = _mm256_loadu_pd(r0 + i);
+          const __m256d b = _mm256_loadu_pd(r1 + i);
+          const __m256d c = _mm256_loadu_pd(r2 + i);
+          const __m256d d = _mm256_loadu_pd(r3 + i);
+          const __m256d ab = _mm256_add_pd(a, b), a_b = _mm256_sub_pd(a, b);
+          const __m256d cd = _mm256_add_pd(c, d), c_d = _mm256_sub_pd(c, d);
+          _mm256_storeu_pd(r0 + i, _mm256_add_pd(ab, cd));
+          _mm256_storeu_pd(r1 + i, _mm256_add_pd(a_b, c_d));
+          _mm256_storeu_pd(r2 + i, _mm256_sub_pd(ab, cd));
+          _mm256_storeu_pd(r3 + i, _mm256_sub_pd(a_b, c_d));
+        }
+        for (; i < w; ++i) {
+          const double ab = r0[i] + r1[i], a_b = r0[i] - r1[i];
+          const double cd = r2[i] + r3[i], c_d = r2[i] - r3[i];
+          r0[i] = ab + cd;
+          r1[i] = a_b + c_d;
+          r2[i] = ab - cd;
+          r3[i] = a_b - c_d;
+        }
+      }
+    }
   }
 }
 
@@ -407,7 +431,7 @@ const KernelTable& avx2_table() {
       v_sub_f,
       v_axpy,
       v_axpy_f,
-      v_butterfly,
+      v_wht256,
       v_welford_update,
       v_welford_update_f,
       v_welch_t,

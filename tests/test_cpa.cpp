@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "aes/leakage.hpp"
 #include "analysis/attacks.hpp"
@@ -141,6 +142,24 @@ TEST(CpaEngine, CountTracksAdds) {
   EXPECT_EQ(e.count(), 0u);
   e.add(aes::Block{}, std::vector<float>{1.0f, 2.0f});
   EXPECT_EQ(e.count(), 1u);
+}
+
+TEST(CpaEngine, OversizedBatchIsRejectedAndTheEngineKept) {
+  const std::vector<int> all = {0, 1, 2,  3,  4,  5,  6,  7,
+                                8, 9, 10, 11, 12, 13, 14, 15};
+  for (const auto mode : {CpaMode::kStreaming, CpaMode::kBatched}) {
+    CpaEngine e(8, all, aes::LeakageModel::kLastRoundHd, mode);
+    const std::size_t batch = e.batch_size();
+    // 2^61 * 8 samples and 2^61 * 16 bytes both wrap to 0; 2^32 does not
+    // wrap, but the class sort indexes the tile with uint32_t.
+    for (const std::size_t bad :
+         {std::size_t{1} << 61, std::size_t{1} << 32, std::size_t{0}})
+      EXPECT_THROW(e.set_batch_size(bad), std::invalid_argument) << bad;
+    EXPECT_EQ(e.batch_size(), batch);
+    e.add(aes::Block{}, std::vector<float>(8, 1.0f));
+    EXPECT_EQ(e.count(), 1u);
+    EXPECT_EQ(e.report().size(), all.size());
+  }
 }
 
 }  // namespace

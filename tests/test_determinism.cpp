@@ -228,5 +228,95 @@ TEST(Determinism, BatchedCpaMatchesStreamingOnQuantizedTraces) {
   }
 }
 
+/// FNV-1a over raw bytes, chained through `h`.
+std::uint64_t fnv1a(const void* data, std::size_t len,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct CpaDigests {
+  std::uint64_t blob = 0;
+  std::uint64_t report = 0;
+};
+
+/// Batched engine over `n` synthetic traces that need no simulator: random
+/// blocks and ADC-like integer codes from one Xoshiro stream, each trace
+/// scaled by spread_third(i) so its class sums round.  Returns the digests
+/// of its serialize() blob and of its report() bits.
+CpaDigests pinned_engine_digests(std::size_t samples, std::vector<int> bytes,
+                                 aes::LeakageModel model, std::size_t n) {
+  analysis::CpaEngine engine(samples, std::move(bytes), model,
+                             analysis::CpaMode::kBatched);
+  Xoshiro256StarStar rng(0x5EED0020);
+  std::vector<float> tr(samples);
+  for (std::size_t i = 0; i < n; ++i) {
+    aes::Block pt{}, ct{};
+    for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
+    for (auto& b : ct) b = static_cast<std::uint8_t>(rng.next());
+    for (float& v : tr)
+      v = static_cast<float>(static_cast<int>(rng.uniform(257)) - 128) *
+          (400.0f / 256.0f) * spread_third(i);
+    engine.add(pt, ct, tr);
+  }
+  const std::vector<unsigned char> blob = engine.serialize();
+  CpaDigests d;
+  d.blob = fnv1a(blob.data(), blob.size());
+  d.report = 0xcbf29ce484222325ULL;
+  for (const auto& r : engine.report()) {
+    d.report = fnv1a(&r.byte_pos, sizeof r.byte_pos, d.report);
+    d.report = fnv1a(r.peak_abs_corr.data(), sizeof r.peak_abs_corr, d.report);
+  }
+  return d;
+}
+
+/// The batched engine's bits, pinned to digests recorded before the
+/// hypothesis sums moved into the flush and the report moved to 128-sample
+/// WHT panels.  The invariance tests above compare batched runs against
+/// each other inside one build, so a change that is consistent across
+/// threads and tiles but alters the arithmetic would pass them; this one
+/// fails it.  S = 500 spans report panels of 128/128/128/116 samples, one
+/// byte at S = 125 eight narrowed ones (7 × 16 + 13), S = 3 a single
+/// narrow one.
+TEST(Determinism, BatchedCpaBitsMatchPinnedDigests) {
+  ThreadCountGuard guard;
+  struct Case {
+    const char* name;
+    std::size_t samples;
+    std::vector<int> bytes;
+    aes::LeakageModel model;
+    std::size_t traces;
+    CpaDigests want;
+  };
+  const Case cases[] = {
+      {"S=500 last-round", 500, {0, 7, 15}, aes::LeakageModel::kLastRoundHd,
+       1'500, {0x18deccdaaa395714ULL, 0xd0a3e3bf1616a08ULL}},
+      {"S=500 first-round", 500, {0, 7, 15}, aes::LeakageModel::kFirstRoundHw,
+       1'500, {0x650a4d9b0495b5b7ULL, 0x3e20566fc1f1e4daULL}},
+      {"S=125 one byte", 125, {5}, aes::LeakageModel::kLastRoundHd, 800,
+       {0xf580826a6fb38d87ULL, 0xb5bad895d8c29af1ULL}},
+      {"S=3 last-round", 3, {1, 5, 10, 14}, aes::LeakageModel::kLastRoundHd,
+       700, {0xe0ca51b2a3215d2dULL, 0x33a377999874e41ULL}},
+      {"S=3 first-round", 3, {1, 5, 10, 14}, aes::LeakageModel::kFirstRoundHw,
+       700, {0x4a3c6df6b44907f5ULL, 0x989c2e597bca9702ULL}},
+  };
+  for (const std::size_t threads : kThreadSweep) {
+    par::set_thread_count(threads);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) +
+                   " threads=" + std::to_string(threads));
+      const CpaDigests got =
+          pinned_engine_digests(c.samples, c.bytes, c.model, c.traces);
+      EXPECT_EQ(got.blob, c.want.blob) << std::hex << "blob 0x" << got.blob;
+      EXPECT_EQ(got.report, c.want.report)
+          << std::hex << "report 0x" << got.report;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rftc

@@ -781,6 +781,45 @@ struct BlobMutation {
   std::vector<std::pair<std::size_t, unsigned char>> edits;
 };
 
+/// Up to four edits of a non-zero mask each: anywhere in `blob`, or only in
+/// its first `header` bytes and then resealed.
+BlobMutation random_mutation(pbt::Rng& rng, std::size_t blob_size,
+                             std::size_t header) {
+  BlobMutation m;
+  m.reseal = rng.uniform(2) == 1;
+  const std::size_t span = m.reseal ? header : blob_size;
+  const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform(4));
+  for (std::size_t i = 0; i < n; ++i)
+    m.edits.emplace_back(static_cast<std::size_t>(rng.uniform(span)),
+                         static_cast<unsigned char>(1 + rng.uniform(255)));
+  return m;
+}
+
+std::vector<unsigned char> mutated(std::vector<unsigned char> blob,
+                                   const BlobMutation& m) {
+  for (const auto& [at, mask] : m.edits) blob[at] ^= mask;
+  return m.reseal ? resealed(std::move(blob)) : blob;
+}
+
+/// Shrinks toward a single edit.
+std::vector<BlobMutation> shrink_mutation(const BlobMutation& m) {
+  std::vector<BlobMutation> out;
+  for (std::size_t i = 0; m.edits.size() > 1 && i < m.edits.size(); ++i) {
+    BlobMutation fewer = m;
+    fewer.edits.erase(fewer.edits.begin() + static_cast<std::ptrdiff_t>(i));
+    out.push_back(std::move(fewer));
+  }
+  return out;
+}
+
+std::string describe_mutation(const BlobMutation& m) {
+  std::ostringstream os;
+  os << (m.reseal ? "resealed" : "raw") << " edits:";
+  for (const auto& [at, mask] : m.edits)
+    os << " " << at << "^" << static_cast<unsigned>(mask);
+  return os.str();
+}
+
 TEST(DistSerialize, CpaBlobRandomMutationsKeepTheParserContract) {
   const analysis::CpaEngine target =
       make_synthetic_engine(analysis::CpaMode::kBatched, 24, 40, {0, 3, 7});
@@ -790,51 +829,22 @@ TEST(DistSerialize, CpaBlobRandomMutationsKeepTheParserContract) {
   // Header: everything before the first accumulator array.
   const std::size_t header =
       cpa_section_bounds(target, aes::LeakageModel::kLastRoundHd)[7];
-  const auto apply = [&](const BlobMutation& m) {
-    std::vector<unsigned char> out = blob;
-    for (const auto& [at, mask] : m.edits) out[at] ^= mask;
-    return m.reseal ? resealed(std::move(out)) : out;
-  };
   EXPECT_TRUE(pbt::check<BlobMutation>(
       "cpa_blob_mutation",
-      [&](pbt::Rng& rng) {
-        BlobMutation m;
-        m.reseal = rng.uniform(2) == 1;
-        const std::size_t span = m.reseal ? header : blob.size();
-        const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform(4));
-        for (std::size_t i = 0; i < n; ++i)
-          m.edits.emplace_back(
-              static_cast<std::size_t>(rng.uniform(span)),
-              static_cast<unsigned char>(1 + rng.uniform(255)));
-        return m;
-      },
-      [&](const BlobMutation& m) { return blob_contract(apply(m), target); },
-      pbt::Config::from_env(0x3B10B5EED, 100),
-      [](const BlobMutation& m) {
-        // Shrink toward a single edit.
-        std::vector<BlobMutation> out;
-        for (std::size_t i = 0; m.edits.size() > 1 && i < m.edits.size();
-             ++i) {
-          BlobMutation fewer = m;
-          fewer.edits.erase(fewer.edits.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-          out.push_back(std::move(fewer));
-        }
-        return out;
-      },
+      [&](pbt::Rng& rng) { return random_mutation(rng, blob.size(), header); },
       [&](const BlobMutation& m) {
-        std::ostringstream os;
-        os << (m.reseal ? "resealed" : "raw") << " edits:";
-        for (const auto& [at, mask] : m.edits)
-          os << " " << at << "^" << static_cast<unsigned>(mask);
-        return os.str();
-      }));
+        return blob_contract(mutated(blob, m), target);
+      },
+      pbt::Config::from_env(0x3B10B5EED, 100), shrink_mutation,
+      describe_mutation));
 }
 
-TEST(DistSerialize, WelchRoundTripAndCorruptionRejected) {
+/// A Welch accumulator over 16 samples fed `traces` dyadic traces,
+/// alternating between the two populations.
+WelchTTest make_welch(std::size_t traces) {
   WelchTTest test(16);
   std::mt19937 rng(0xBEEF);
-  for (std::size_t i = 0; i < 30; ++i) {
+  for (std::size_t i = 0; i < traces; ++i) {
     std::vector<double> tr(16);
     for (auto& v : tr)
       v = static_cast<double>(static_cast<int>(rng() % 512) - 256) * 0.015625;
@@ -843,6 +853,11 @@ TEST(DistSerialize, WelchRoundTripAndCorruptionRejected) {
     else
       test.add_random(tr);
   }
+  return test;
+}
+
+TEST(DistSerialize, WelchRoundTripAndCorruptionRejected) {
+  const WelchTTest test = make_welch(30);
   const std::vector<unsigned char> blob = test.serialize();
   const WelchTTest back = WelchTTest::deserialize(blob);
   EXPECT_EQ(back.samples(), test.samples());
@@ -865,6 +880,64 @@ TEST(DistSerialize, WelchRoundTripAndCorruptionRejected) {
 
   // A Welch snapshot is not a CPA snapshot: magic dispatch, not size luck.
   EXPECT_THROW(analysis::CpaEngine::deserialize(blob), std::runtime_error);
+}
+
+/// The Welch parser contract for a candidate blob: deserialize() throws a
+/// typed error (std::runtime_error or std::invalid_argument), or accepts
+/// the blob and round-trips it byte for byte.
+std::optional<std::string> welch_contract(std::span<const unsigned char> cand) {
+  try {
+    const std::vector<unsigned char> back =
+        WelchTTest::deserialize(cand).serialize();
+    if (!std::equal(back.begin(), back.end(), cand.begin(), cand.end()))
+      return "deserialize accepted a blob that does not round-trip";
+  } catch (const std::runtime_error&) {
+  } catch (const std::invalid_argument&) {
+  } catch (const std::exception& e) {
+    return std::string("deserialize threw an untyped error: ") + e.what();
+  }
+  return std::nullopt;
+}
+
+/// Byte offsets at which a Welch blob's sections start, plus its size:
+/// magic, sample count, the six per-sample arrays and the CRC trailer.
+std::vector<std::size_t> welch_section_bounds(std::size_t samples) {
+  std::vector<std::size_t> bounds = {0, 8, 16};
+  for (int a = 0; a < 6; ++a) bounds.push_back(bounds.back() + 8 * samples);
+  bounds.push_back(bounds.back() + 4);
+  return bounds;
+}
+
+TEST(DistSerialize, WelchBlobTruncatedAtEverySectionBoundary) {
+  const std::vector<unsigned char> blob = make_welch(30).serialize();
+  const std::vector<std::size_t> bounds = welch_section_bounds(16);
+  ASSERT_EQ(bounds.back(), blob.size());
+  for (const std::size_t cut : bounds) {
+    for (const std::size_t len : {cut, cut > 0 ? cut - 1 : 0, cut + 1}) {
+      if (len >= blob.size()) continue;
+      const std::vector<unsigned char> prefix(blob.begin(),
+                                              blob.begin() + len);
+      for (const auto& cand : {prefix, resealed(prefix)}) {
+        const std::optional<std::string> bad = welch_contract(cand);
+        EXPECT_FALSE(bad) << *bad << " (length " << len << ")";
+        // A truncated snapshot is never a valid one.
+        EXPECT_ANY_THROW((void)WelchTTest::deserialize(cand))
+            << "length " << cand.size();
+      }
+    }
+  }
+}
+
+TEST(DistSerialize, WelchBlobRandomMutationsKeepTheParserContract) {
+  const std::vector<unsigned char> blob = make_welch(30).serialize();
+  // Header: the magic and the sample count.
+  const std::size_t header = welch_section_bounds(16)[2];
+  EXPECT_TRUE(pbt::check<BlobMutation>(
+      "welch_blob_mutation",
+      [&](pbt::Rng& rng) { return random_mutation(rng, blob.size(), header); },
+      [&](const BlobMutation& m) { return welch_contract(mutated(blob, m)); },
+      pbt::Config::from_env(0x3E1C4F12, 200), shrink_mutation,
+      describe_mutation));
 }
 
 // --------------------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/cpa.hpp"
 #include "obs/checkpoints.hpp"
@@ -187,6 +189,21 @@ TEST(CpaBatchEnv, ProvenanceFollowsTheKnob) {
   EnvGuard guard("RFTC_CPA_BATCH", "256");
   EXPECT_EQ(analysis::CpaEngine::default_batch_size(), 256u);
   EXPECT_EQ(obs::Provenance::collect().batch, 256u);
+}
+
+TEST(CpaBatchEnv, OversizedBatchIsRejectedNotWrapped) {
+  // 2^61 traces of 8 samples (or of 16 class bytes) wraps the tile size to
+  // 0; 2^32 overflows the class sort's uint32_t index.  Either must throw
+  // before a tile is sized, never memcpy into an empty one.
+  for (const char* value : {"2305843009213693952", "4294967296"}) {
+    EnvGuard guard("RFTC_CPA_BATCH", value);
+    EXPECT_EQ(analysis::CpaEngine::default_batch_size(),
+              std::stoull(value));
+    EXPECT_THROW(analysis::CpaEngine(8, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                         11, 12, 13, 14, 15}),
+                 std::invalid_argument)
+        << value;
+  }
 }
 
 // ------------------------------------------------- checkpoints_from_env --

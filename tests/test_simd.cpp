@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "aes/leakage.hpp"
@@ -153,7 +154,6 @@ TEST(SimdKernels, AllKernelsBitIdenticalAcrossBackends) {
       simd::sub_f(in.xf.data(), o.d2.data(), n);
       simd::axpy(1.75, in.xd.data(), o.d1.data(), n);
       simd::axpy_f(-0.375, in.xf.data(), o.d2.data(), n);
-      simd::butterfly(o.d1.data(), o.d2.data(), n);
       // Welford on three parallel accumulators (count/mean/m2).
       std::vector<double> cnt(in.acc3), mean(in.acc1), m2(in.acc2);
       for (double& v : m2) v = std::fabs(v);
@@ -241,6 +241,57 @@ TEST(SimdKernels, AllKernelsBitIdenticalAcrossBackends) {
       pos += step;
     }
     EXPECT_EQ(chained, whole) << "crc32 chain backend=" << simd::backend_name();
+  }
+}
+
+/// The WHT as a plain stage loop over a [256][width] panel: stage h takes
+/// row pairs (r, r + h) low to high, or high to low with `reversed`.
+std::vector<double> wht256_by_stages(std::vector<double> p, std::size_t width,
+                                     bool reversed = false) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::size_t h = std::size_t{1} << (reversed ? 7 - i : i);
+    for (std::size_t r = 0; r < 256; ++r) {
+      if (r & h) continue;
+      for (std::size_t c = 0; c < width; ++c) {
+        const double a = p[r * width + c], b = p[(r + h) * width + c];
+        p[r * width + c] = a + b;
+        p[(r + h) * width + c] = a - b;
+      }
+    }
+  }
+  return p;
+}
+
+TEST(SimdKernels, Wht256MatchesTheStageLoopOnEveryBackend) {
+  BackendGuard guard;
+  // Widths hit the scalar tail only (1, 3), whole vectors (4, 16, 128) and
+  // both (5, 125).
+  for (const std::size_t width : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{4}, std::size_t{5},
+                                  std::size_t{16}, std::size_t{125},
+                                  std::size_t{128}}) {
+    // Values over ~120 binades with random signs: nearly every add rounds,
+    // so any change of operation order changes the bits.
+    Xoshiro256StarStar rng(0x3A11 + width);
+    std::vector<double> in(256 * width);
+    for (double& v : in)
+      v = std::ldexp(rng.uniform01() + 0.5,
+                     static_cast<int>(rng.uniform(121)) - 60) *
+          (rng.uniform(2) == 0 ? 1.0 : -1.0);
+    const std::vector<double> want = wht256_by_stages(in, width);
+    ASSERT_NE(std::memcmp(want.data(),
+                          wht256_by_stages(in, width, true).data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "input does not expose the stage order, width " << width;
+    for (const simd::Backend b : available_backends()) {
+      simd::set_backend(b);
+      std::vector<double> got = in;
+      simd::wht256(got.data(), width);
+      SCOPED_TRACE(std::string(simd::backend_name()) +
+                   " width=" + std::to_string(width));
+      expect_bits_equal(want, got, "wht256");
+    }
   }
 }
 
