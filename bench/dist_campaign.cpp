@@ -134,46 +134,34 @@ int main() {
   spec.checkpoints = {n / 4, n / 2, n};
 
   bool all_identical = true;
-  double single_seconds = 0.0, workers4_seconds = 0.0;
-  for (const auto mode :
-       {analysis::CpaMode::kBatched, analysis::CpaMode::kStreaming}) {
-    spec.engine_mode = mode;
-    const char* mode_name =
-        mode == analysis::CpaMode::kBatched ? "batched" : "streaming";
-    const trace::TraceStore store(attack_path);
-    auto t0 = std::chrono::steady_clock::now();
-    const analysis::AttackOutcome baseline =
-        analysis::run_attack(store, rk10, spec.attack_params());
-    const double base_s = seconds_since(t0);
-    if (mode == analysis::CpaMode::kBatched) single_seconds = base_s;
-    std::printf("attack/%s single-process: %.2fs\n", mode_name, base_s);
+  const trace::TraceStore store(attack_path);
+  auto t0 = std::chrono::steady_clock::now();
+  const analysis::AttackOutcome baseline =
+      analysis::run_attack(store, rk10, spec.attack_params());
+  const double single_seconds = seconds_since(t0);
+  std::printf("attack single-process: %.2fs\n", single_seconds);
 
-    const std::vector<std::size_t> worker_counts =
-        mode == analysis::CpaMode::kBatched
-            ? std::vector<std::size_t>{1, 2, 4}
-            : std::vector<std::size_t>{2};
-    for (const std::size_t workers : worker_counts) {
-      const std::string cdir = dir + "/dist_campaign_attack_" + mode_name +
-                               "_w" + std::to_string(workers);
-      std::filesystem::remove_all(cdir);
-      dist::CoordinatorOptions options;
-      options.dir = cdir;
-      options.worker_binary = worker;
-      options.workers = workers;
-      t0 = std::chrono::steady_clock::now();
-      const dist::CampaignResult result = dist::run_campaign(spec, options);
-      const double dist_s = seconds_since(t0);
-      if (mode == analysis::CpaMode::kBatched && workers == 4)
-        workers4_seconds = dist_s;
-      const bool ok = same_attack(result.attack, baseline);
-      all_identical = all_identical && ok;
-      std::printf("attack/%s workers=%zu: %.2fs, %zu shards — %s\n",
-                  mode_name, workers, dist_s, result.shards_total,
-                  ok ? "bit-identical" : "DIVERGED");
-      report.metric("attack_" + std::string(mode_name) + "_w" +
-                        std::to_string(workers) + "_identical",
-                    ok ? 1.0 : 0.0, "bool");
-    }
+  double workers4_seconds = 0.0;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    const std::string cdir =
+        dir + "/dist_campaign_attack_batched_w" + std::to_string(workers);
+    std::filesystem::remove_all(cdir);
+    dist::CoordinatorOptions options;
+    options.dir = cdir;
+    options.worker_binary = worker;
+    options.workers = workers;
+    t0 = std::chrono::steady_clock::now();
+    const dist::CampaignResult result = dist::run_campaign(spec, options);
+    const double dist_s = seconds_since(t0);
+    if (workers == 4) workers4_seconds = dist_s;
+    const bool ok = same_attack(result.attack, baseline);
+    all_identical = all_identical && ok;
+    std::printf("attack workers=%zu: %.2fs, %zu shards — %s\n", workers,
+                dist_s, result.shards_total,
+                ok ? "bit-identical" : "DIVERGED");
+    report.metric("attack_batched_w" + std::to_string(workers) + "_identical",
+                  ok ? 1.0 : 0.0, "bool");
   }
   report.metric("attack_single_seconds", single_seconds, "s");
   report.metric("attack_workers4_seconds", workers4_seconds, "s");

@@ -1,10 +1,11 @@
 // CPA engine speedup: the fig4-style CPA attack (last-round HD, checkpoint
-// schedule of the scale profile) timed with the streaming reference engine
-// on one thread versus the batched class-sum/WHT engine, once on one thread
-// and once with the configured RFTC_THREADS.  All runs attack the SAME
-// captured campaign, and because raw ADC traces are exactly quantized the
-// engines must agree bit-for-bit on every checkpoint — the bench fails
-// (exit 1) if they don't.
+// schedule of the scale profile) timed with the scalar CPA oracle
+// (tests/cpa_oracle.hpp, the textbook per-trace accumulator) on one thread
+// versus the class-sum/WHT CpaEngine, once on one thread and once with the
+// configured RFTC_THREADS.  All runs attack the SAME captured campaign, and
+// because raw ADC traces are exactly quantized the engine must agree with
+// the oracle bit-for-bit on every checkpoint — the bench fails (exit 1) if
+// it doesn't.
 //
 // BENCH_fig4_cpa_speedup.json records serial_seconds, batched_seconds (at
 // RFTC_THREADS = N), batched_seconds_1t, speedup_vs_serial (the acceptance
@@ -24,6 +25,7 @@
 #include <string>
 
 #include "common.hpp"
+#include "cpa_oracle.hpp"
 #include "simd/simd.hpp"
 #include "trace/trace_store.hpp"
 #include "util/parallel.hpp"
@@ -33,12 +35,11 @@ namespace {
 /// Acceptance gate on speedup_vs_serial.
 constexpr double kMinSpeedup = 4.0;
 
-double time_attack(const rftc::trace::TraceSet& set,
-                   const rftc::aes::Block& rk10,
-                   const rftc::analysis::AttackParams& params,
-                   rftc::analysis::AttackOutcome& out) {
+/// Runs `attack` into `out` and returns its wall time in seconds.
+template <class Attack>
+double time_attack(Attack&& attack, rftc::analysis::AttackOutcome& out) {
   const auto t0 = std::chrono::steady_clock::now();
-  out = rftc::analysis::run_attack(set, rk10, params);
+  out = attack();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
@@ -58,8 +59,8 @@ int main() {
   report.note("profile", profile.name);
   report.note("simd_isa", simd::backend_name());
   report.seed(0x5EED0000);  // rftc_factory campaign seed base
-  bench::print_header("CPA engine speedup — streaming (1 thread) vs batched "
-                      "(RFTC_THREADS), profile " +
+  bench::print_header("CPA engine speedup — scalar oracle (1 thread) vs "
+                      "batched (RFTC_THREADS), profile " +
                       profile.name);
 
   // One campaign, reused by both engines.  RFTC(1, 4) is the weakest
@@ -76,22 +77,22 @@ int main() {
   params.checkpoints = profile.sr_checkpoints;
   const aes::Block rk10 = bench::evaluation_round10_key();
 
-  // Serial baseline: the streaming engine on a single thread.
+  // Serial baseline: the scalar oracle, which never uses the pool.
   const std::size_t configured_threads = par::thread_count();
   par::set_thread_count(1);
-  params.engine_mode = analysis::CpaMode::kStreaming;
   analysis::AttackOutcome serial_out;
-  const double serial_s = time_attack(set, rk10, params, serial_out);
-  std::printf("streaming, 1 thread:      %8.2f s\n", serial_s);
+  const double serial_s = time_attack(
+      [&] { return analysis::oracle_attack(set, rk10, params); }, serial_out);
+  std::printf("oracle, 1 thread:         %8.2f s\n", serial_s);
 
   // Batched engine on one thread, then with the configured thread count.
-  params.engine_mode = analysis::CpaMode::kBatched;
+  const auto batched = [&] { return analysis::run_attack(set, rk10, params); };
   analysis::AttackOutcome batched_1t_out;
-  const double batched_1t_s = time_attack(set, rk10, params, batched_1t_out);
+  const double batched_1t_s = time_attack(batched, batched_1t_out);
   std::printf("batched, 1 thread:        %8.2f s\n", batched_1t_s);
   par::set_thread_count(configured_threads);
   analysis::AttackOutcome batched_out;
-  const double batched_s = time_attack(set, rk10, params, batched_out);
+  const double batched_s = time_attack(batched, batched_out);
   std::printf("batched, %zu thread(s):    %8.2f s\n", configured_threads,
               batched_s);
 
@@ -110,7 +111,7 @@ int main() {
 
   // Out-of-core cross-check: re-acquire the identical campaign into a
   // chunked store (same shard factory, same seed) and attack it through
-  // the streamed path with the batched engine still configured.
+  // the streamed path.
   bool ooc_match = true;
   if (const char* env = std::getenv("RFTC_STORE_DIR")) {
     std::filesystem::create_directories(env);
@@ -124,11 +125,8 @@ int main() {
     }
     const trace::TraceStore store(path);
     analysis::AttackOutcome ooc_out;
-    const auto t0 = std::chrono::steady_clock::now();
-    ooc_out = analysis::run_attack(store, rk10, params);
-    const double ooc_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const double ooc_s = time_attack(
+        [&] { return analysis::run_attack(store, rk10, params); }, ooc_out);
     ooc_match = same_outcome(batched_out, ooc_out);
     std::printf("out-of-core, %zu chunks:  %8.2f s   outcomes %s\n",
                 store.chunk_count(), ooc_s,
@@ -150,7 +148,7 @@ int main() {
   if (!match) {
     std::fprintf(stderr,
                  "fig4_cpa_speedup: batched engine diverged from the "
-                 "streaming reference\n");
+                 "scalar oracle\n");
     return 1;
   }
   if (!ooc_match) {

@@ -15,10 +15,10 @@ namespace rftc::analysis {
 
 /// The one checkpoint scorer: a single engine.report() pass serves every
 /// quantity a checkpoint records.
-AttackCheckpoint evaluate_attack_checkpoint(const CpaEngine& engine,
-                                            const aes::Block& correct_key) {
+AttackCheckpoint evaluate_attack_checkpoint(
+    std::span<const CpaEngine::ByteReport> reports,
+    const aes::Block& correct_key) {
   AttackCheckpoint ev;
-  const std::vector<CpaEngine::ByteReport> reports = engine.report();
   ev.recovered = true;
   double rank_sum = 0.0;
   for (const CpaEngine::ByteReport& r : reports) {
@@ -36,6 +36,11 @@ AttackCheckpoint evaluate_attack_checkpoint(const CpaEngine& engine,
   }
   ev.mean_rank = rank_sum / static_cast<double>(reports.size());
   return ev;
+}
+
+AttackCheckpoint evaluate_attack_checkpoint(const CpaEngine& engine,
+                                            const aes::Block& correct_key) {
+  return evaluate_attack_checkpoint(engine.report(), correct_key);
 }
 
 void AttackOutcome::record(std::size_t traces, const AttackCheckpoint& ev) {
@@ -307,7 +312,7 @@ AttackOutcome run_attack_impl(const Source& src, const aes::Block& correct_key,
 
   AttackFeed feeder(src, params);
   CpaEngine engine(feeder.features(), normalized_byte_positions(params),
-                   params.leakage, params.engine_mode);
+                   params.leakage);
   AttackOutcome out;
   out.kind = params.kind;
   std::size_t done = 0;
@@ -362,7 +367,7 @@ CpaEngine accumulate_attack_range(const trace::TraceStore& store,
         "accumulate_attack_range: only plain CPA shards merge bit-exactly");
   AttackFeed feeder(store, params);
   CpaEngine engine(feeder.features(), normalized_byte_positions(params),
-                   params.leakage, params.engine_mode);
+                   params.leakage);
   feeder.feed(engine, store, t0, t1);
   return engine;
 }

@@ -4,10 +4,11 @@
 // Preprocessing artefacts (the DTW reference trace, the PCA basis) are
 // derived from a prefix of the campaign, as a real attacker would derive
 // them from the traces at hand, then every trace is transformed and fed to
-// the streaming CPA engine.
+// the CPA engine.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,10 +37,8 @@ struct AttackParams {
   aes::LeakageModel leakage = aes::LeakageModel::kLastRoundHd;
   /// Key-byte positions to attack; empty selects all 16.
   std::vector<int> byte_positions;
-  /// CPA accumulation engine: the streaming reference or the batched
-  /// class-sum/WHT path.  Defaults to the env-selected mode
-  /// (RFTC_CPA_MODE); benches pin it to time one against the other.
-  CpaMode engine_mode = CpaEngine::default_mode();
+  /// Read by nothing; kept for perfbench's two assignments.
+  CpaMode engine_mode = CpaMode::kBatched;
   /// Box-average factor applied to the raw traces before any attack
   /// (standard compression; also keeps the DTW DP tractable).
   std::size_t downsample = 4;
@@ -119,10 +118,14 @@ AttackOutcome run_attack(const trace::TraceStore& store,
                          const aes::Block& correct_key,
                          const AttackParams& params);
 
-/// The one CPA checkpoint scorer: scores `engine` against `correct_key`
-/// (round-10 key for the last-round model, master key for the first-round
-/// model) from one report pass.  run_attack, the distributed coordinator's
-/// merge and the ConvergenceMonitor all take their checkpoints from here.
+/// The one CPA checkpoint scorer: scores per-byte `reports` against
+/// `correct_key` (round-10 key for the last-round model, master key for the
+/// first-round model).  run_attack, the distributed coordinator's merge and
+/// the ConvergenceMonitor all take their checkpoints from here.
+AttackCheckpoint evaluate_attack_checkpoint(
+    std::span<const CpaEngine::ByteReport> reports,
+    const aes::Block& correct_key);
+/// Scores one engine.report() pass.
 AttackCheckpoint evaluate_attack_checkpoint(const CpaEngine& engine,
                                             const aes::Block& correct_key);
 
@@ -140,8 +143,8 @@ std::vector<std::size_t> normalized_checkpoints(const AttackParams& params,
                                                 std::size_t total);
 
 /// Sharded-campaign primitive: builds a fresh CpaEngine with run_attack's
-/// geometry (downsampled samples, normalized byte positions, params.leakage
-/// and params.engine_mode) and feeds it store traces [t0, t1) through
+/// geometry (downsampled samples, normalized byte positions and
+/// params.leakage) and feeds it store traces [t0, t1) through
 /// run_attack's own range feed, `t1` clamped to the store size.  Only plain
 /// CPA is supported: raw ADC traces keep every engine sum exact, so
 /// CpaEngine::merge over any partition of the trace range is bit-identical

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 
 #include "aes/gf256.hpp"
 #include "aes/leakage.hpp"
@@ -22,9 +20,6 @@ namespace rftc::analysis {
 
 namespace {
 
-/// Guesses per streaming-report shard.  A pure constant: shard boundaries
-/// must never depend on the thread count (see util/parallel.hpp).
-constexpr std::size_t kGuessGrain = 32;
 /// Widest report panel in samples: a [256][kPanel] panel is 256 KiB.
 constexpr std::size_t kPanel = 128;
 /// Report shards a few attacked bytes should still spread over, so a
@@ -100,25 +95,15 @@ void check_batch(std::size_t batch, std::size_t samples, std::size_t n_bytes) {
 
 }  // namespace
 
-CpaMode CpaEngine::default_mode() {
-  if (const char* env = std::getenv("RFTC_CPA_MODE")) {
-    const std::string_view v(env);
-    if (v == "streaming") return CpaMode::kStreaming;
-    if (v == "batched") return CpaMode::kBatched;
-  }
-  return CpaMode::kBatched;
-}
-
 std::size_t CpaEngine::default_batch_size() {
   return env::cpa_batch();
 }
 
 CpaEngine::CpaEngine(std::size_t samples, std::vector<int> byte_positions,
-                     aes::LeakageModel model, CpaMode mode)
+                     aes::LeakageModel model)
     : samples_(samples),
       bytes_(std::move(byte_positions)),
       model_(model),
-      mode_(mode),
       batch_(default_batch_size()) {
   if (samples_ == 0) throw std::invalid_argument("CpaEngine: zero samples");
   if (bytes_.empty()) throw std::invalid_argument("CpaEngine: no bytes");
@@ -130,27 +115,18 @@ CpaEngine::CpaEngine(std::size_t samples, std::vector<int> byte_positions,
   sum_t2_.assign(samples_, 0.0);
   sum_h_.assign(bytes_.size() * 256, 0);
   sum_h2_.assign(bytes_.size() * 256, 0);
-  if (mode_ == CpaMode::kStreaming) {
-    sum_ht_.assign(bytes_.size() * 256 * samples_, 0.0);
-    scratch_.resize(samples_);
-  } else {
-    const std::size_t planes =
-        static_cast<std::size_t>(kernel_spectra(model_).planes);
-    if (model_ == aes::LeakageModel::kLastRoundHd)
-      class_w_.assign(bytes_.size() * samples_, 0.0);
-    class_d_.assign(bytes_.size() * 256 * planes * samples_, 0.0);
-    tile_traces_.resize(batch_ * samples_);
-    tile_x_.resize(batch_ * bytes_.size());
-    tile_y_.resize(batch_ * bytes_.size());
-  }
+  const std::size_t planes =
+      static_cast<std::size_t>(kernel_spectra(model_).planes);
+  if (model_ == aes::LeakageModel::kLastRoundHd)
+    class_w_.assign(bytes_.size() * samples_, 0.0);
+  class_d_.assign(bytes_.size() * 256 * planes * samples_, 0.0);
+  tile_traces_.resize(batch_ * samples_);
+  tile_x_.resize(batch_ * bytes_.size());
+  tile_y_.resize(batch_ * bytes_.size());
 }
 
 void CpaEngine::set_batch_size(std::size_t batch) {
   check_batch(batch, samples_, bytes_.size());
-  if (mode_ != CpaMode::kBatched) {
-    batch_ = batch;
-    return;
-  }
   flush();
   batch_ = batch;
   tile_traces_.resize(batch_ * samples_);
@@ -160,7 +136,7 @@ void CpaEngine::set_batch_size(std::size_t batch) {
 
 void CpaEngine::merge(const CpaEngine& other) {
   if (other.samples_ != samples_ || other.bytes_ != bytes_ ||
-      other.model_ != model_ || other.mode_ != mode_)
+      other.model_ != model_)
     throw std::invalid_argument("CpaEngine::merge: engine geometry mismatch");
   // Drain both tiles so every buffered trace is in the class sums before the
   // elementwise fold.  flush() only mutates the mutable accumulation state,
@@ -175,23 +151,21 @@ void CpaEngine::merge(const CpaEngine& other) {
   fold(sum_t2_, other.sum_t2_);
   fold(sum_h_, other.sum_h_);
   fold(sum_h2_, other.sum_h2_);
-  if (mode_ == CpaMode::kStreaming) {
-    fold(sum_ht_, other.sum_ht_);
-  } else {
-    fold(class_w_, other.class_w_);
-    fold(class_d_, other.class_d_);
-  }
+  fold(class_w_, other.class_w_);
+  fold(class_d_, other.class_d_);
 }
 
 namespace {
 
 constexpr char kCpaMagic[9] = "RFTCCPA1";
+/// The engine tag after the magic.  0 was the per-guess cross sums of an
+/// older streaming engine; such snapshots are refused, not misread.
+constexpr std::uint32_t kEngineTag = 1;
 
 /// A CPA snapshot whose CRC, magic, tags, byte positions and payload size
 /// all checked out; `arrays` is positioned at the first accumulator array
 /// and holds exactly the payload the geometry declares.
 struct CpaSnapshot {
-  CpaMode mode;
   aes::LeakageModel model;
   std::size_t samples;
   std::vector<int> bytes;
@@ -205,10 +179,10 @@ CpaSnapshot parse_snapshot(std::span<const unsigned char> blob,
   wire::Reader r(blob, what);
   r.check_crc();
   r.expect_magic(kCpaMagic);
-  const std::uint32_t mode_tag = r.u32();
+  if (r.u32() != kEngineTag)
+    throw std::runtime_error(what + ": not a class-sum CPA snapshot");
   const std::uint32_t model_tag = r.u32();
-  if (mode_tag > 1 || model_tag > 1)
-    throw std::runtime_error(what + ": unknown mode/model tag");
+  if (model_tag > 1) throw std::runtime_error(what + ": unknown model tag");
   const std::uint64_t samples = r.u64();
   const std::uint64_t n_bytes = r.u64();
   const std::uint64_t n = r.u64();
@@ -220,12 +194,11 @@ CpaSnapshot parse_snapshot(std::span<const unsigned char> blob,
     if (b < 0 || b > 15)
       throw std::runtime_error(what + ": byte position out of range");
   // The arrays must fill the rest of the blob exactly: 2 * 256 hypothesis
-  // sums per byte, plus per sample the two trace sums and the mode's cross
-  // sums.  Checked by division, so the header's sample count never enters
-  // a product that could overflow, and before any engine allocates: a
-  // forged header cannot cost more memory than the blob carries.
-  const std::uint64_t cross_per_byte =
-      mode_tag == 0 ? 256 : (model_tag == 0 ? 1 + 8 * 256 : 256);
+  // sums per byte, plus per sample the two trace sums and the class sums.
+  // Checked by division, so the header's sample count never enters a
+  // product that could overflow, and before any engine allocates: a forged
+  // header cannot cost more memory than the blob carries.
+  const std::uint64_t cross_per_byte = model_tag == 0 ? 1 + 8 * 256 : 256;
   const std::uint64_t per_sample = 2 + n_bytes * cross_per_byte;
   const std::uint64_t fixed_words = 2 * 256 * n_bytes;
   const std::uint64_t words = r.remaining() / sizeof(double);
@@ -234,8 +207,7 @@ CpaSnapshot parse_snapshot(std::span<const unsigned char> blob,
       (words - fixed_words) / per_sample != samples)
     throw std::runtime_error(what +
                              ": payload size does not match the geometry");
-  return {mode_tag == 0 ? CpaMode::kStreaming : CpaMode::kBatched,
-          model_tag == 0 ? aes::LeakageModel::kLastRoundHd
+  return {model_tag == 0 ? aes::LeakageModel::kLastRoundHd
                          : aes::LeakageModel::kFirstRoundHw,
           static_cast<std::size_t>(samples), std::move(bytes), n,
           std::move(r)};
@@ -245,9 +217,7 @@ CpaSnapshot parse_snapshot(std::span<const unsigned char> blob,
 
 std::vector<unsigned char> CpaEngine::serialize() const {
   flush();  // the blob must not depend on tile boundaries
-  const std::size_t cross = mode_ == CpaMode::kStreaming
-                                ? sum_ht_.size()
-                                : class_w_.size() + class_d_.size();
+  const std::size_t cross = class_w_.size() + class_d_.size();
   std::vector<unsigned char> out;
   out.reserve(8 + 2 * sizeof(std::uint32_t) + 3 * sizeof(std::uint64_t) +
               bytes_.size() * sizeof(std::uint32_t) +
@@ -256,7 +226,7 @@ std::vector<unsigned char> CpaEngine::serialize() const {
                   sizeof(double) +
               sizeof(std::uint32_t));
   wire::put_magic(out, kCpaMagic);
-  wire::put_u32(out, mode_ == CpaMode::kStreaming ? 0u : 1u);
+  wire::put_u32(out, kEngineTag);
   wire::put_u32(out, model_ == aes::LeakageModel::kLastRoundHd ? 0u : 1u);
   wire::put_u64(out, samples_);
   wire::put_u64(out, bytes_.size());
@@ -266,19 +236,15 @@ std::vector<unsigned char> CpaEngine::serialize() const {
   wire::put_array(out, sum_t2_.data(), sum_t2_.size());
   wire::put_array(out, sum_h_.data(), sum_h_.size());
   wire::put_array(out, sum_h2_.data(), sum_h2_.size());
-  if (mode_ == CpaMode::kStreaming) {
-    wire::put_array(out, sum_ht_.data(), sum_ht_.size());
-  } else {
-    wire::put_array(out, class_w_.data(), class_w_.size());
-    wire::put_array(out, class_d_.data(), class_d_.size());
-  }
+  wire::put_array(out, class_w_.data(), class_w_.size());
+  wire::put_array(out, class_d_.data(), class_d_.size());
   wire::seal(out);
   return out;
 }
 
 CpaEngine CpaEngine::deserialize(std::span<const unsigned char> blob) {
   CpaSnapshot snap = parse_snapshot(blob, "CpaEngine::deserialize");
-  CpaEngine eng(snap.samples, std::move(snap.bytes), snap.model, snap.mode);
+  CpaEngine eng(snap.samples, std::move(snap.bytes), snap.model);
   eng.fold(snap.n, snap.arrays);
   return eng;
 }
@@ -286,7 +252,7 @@ CpaEngine CpaEngine::deserialize(std::span<const unsigned char> blob) {
 void CpaEngine::merge(std::span<const unsigned char> blob) {
   CpaSnapshot snap = parse_snapshot(blob, "CpaEngine::merge");
   if (snap.samples != samples_ || snap.bytes != bytes_ ||
-      snap.model != model_ || snap.mode != mode_)
+      snap.model != model_)
     throw std::invalid_argument("CpaEngine::merge: snapshot geometry mismatch");
   flush();
   fold(snap.n, snap.arrays);
@@ -298,12 +264,8 @@ void CpaEngine::fold(std::uint64_t n, wire::Reader& arrays) {
   arrays.add_array(sum_t2_.data(), sum_t2_.size());
   arrays.add_array(sum_h_.data(), sum_h_.size());
   arrays.add_array(sum_h2_.data(), sum_h2_.size());
-  if (mode_ == CpaMode::kStreaming) {
-    arrays.add_array(sum_ht_.data(), sum_ht_.size());
-  } else {
-    arrays.add_array(class_w_.data(), class_w_.size());
-    arrays.add_array(class_d_.data(), class_d_.size());
-  }
+  arrays.add_array(class_w_.data(), class_w_.size());
+  arrays.add_array(class_d_.data(), class_d_.size());
 }
 
 void CpaEngine::add(const aes::Block& ciphertext,
@@ -318,40 +280,6 @@ void CpaEngine::add(const aes::Block& plaintext, const aes::Block& ciphertext,
                     std::span<const float> trace) {
   if (trace.size() != samples_)
     throw std::invalid_argument("CpaEngine::add: sample count mismatch");
-  if (mode_ == CpaMode::kStreaming)
-    add_streaming(plaintext, ciphertext, trace);
-  else
-    add_batched(plaintext, ciphertext, trace);
-}
-
-void CpaEngine::add_streaming(const aes::Block& plaintext,
-                              const aes::Block& ciphertext,
-                              std::span<const float> trace) {
-  ++n_;
-  simd::widen(trace.data(), scratch_.data(), samples_);
-  simd::accumulate_sums(scratch_.data(), sum_t_.data(), sum_t2_.data(),
-                        samples_);
-  alignas(32) std::uint8_t row[256];
-  for (std::size_t bi = 0; bi < bytes_.size(); ++bi) {
-    if (model_ == aes::LeakageModel::kLastRoundHd)
-      aes::last_round_hypothesis_row_into(ciphertext, bytes_[bi], row);
-    else
-      aes::first_round_hypothesis_row_into(plaintext, bytes_[bi], row);
-    simd::hyp_sums(row, sum_h_.data() + bi * 256, sum_h2_.data() + bi * 256,
-                   256);
-    double* ht_base = sum_ht_.data() + bi * 256 * samples_;
-    for (std::size_t g = 0; g < 256; ++g) {
-      const std::int64_t h = row[g];
-      if (h == 0) continue;
-      simd::axpy(static_cast<double>(h), scratch_.data(),
-                 ht_base + g * samples_, samples_);
-    }
-  }
-}
-
-void CpaEngine::add_batched(const aes::Block& plaintext,
-                            const aes::Block& ciphertext,
-                            std::span<const float> trace) {
   ++n_;
   const std::size_t i = tile_count_;
   std::memcpy(tile_traces_.data() + i * samples_, trace.data(),
@@ -488,35 +416,6 @@ std::vector<CpaEngine::ByteReport> CpaEngine::report() const {
   report_counter().inc();
   RFTC_OBS_SPAN(span, "cpa", "report");
   span.arg("n", static_cast<double>(n_));
-  return mode_ == CpaMode::kStreaming ? report_streaming() : report_batched();
-}
-
-std::vector<CpaEngine::ByteReport> CpaEngine::report_streaming() const {
-  std::vector<ByteReport> out(bytes_.size());
-  const double n = static_cast<double>(n_);
-  for (std::size_t bi = 0; bi < bytes_.size(); ++bi)
-    out[bi].byte_pos = bytes_[bi];
-  // Disjoint (byte, guess-block) outputs; each guess's scan over samples is
-  // the same loop as the serial reference, so the report is bit-identical
-  // for any thread count.
-  par::parallel_for(
-      0, bytes_.size() * 256, kGuessGrain, [&](std::size_t j0,
-                                               std::size_t j1) {
-        for (std::size_t j = j0; j < j1; ++j) {
-          const std::size_t bi = j / 256;
-          const std::size_t g = j % 256;
-          const double sh = static_cast<double>(sum_h_[j]);
-          const double sh2 = static_cast<double>(sum_h2_[j]);
-          const double* ht =
-              sum_ht_.data() + (bi * 256 + g) * samples_;
-          out[bi].peak_abs_corr[g] = simd::peak_abs_correlation(
-              n, sh, sh2, sum_t_.data(), sum_t2_.data(), ht, samples_);
-        }
-      });
-  return out;
-}
-
-std::vector<CpaEngine::ByteReport> CpaEngine::report_batched() const {
   flush();
   std::vector<ByteReport> out(bytes_.size());
   const double n = static_cast<double>(n_);

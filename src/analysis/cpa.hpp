@@ -7,39 +7,34 @@
 // evaluated at arbitrary checkpoints — that is how the success-rate curves
 // of Fig. 4/Fig. 5 are produced without re-accumulating per checkpoint.
 //
-// Two accumulation engines share that interface:
+// Hypotheses take only the nine values 0..8, and both leakage models
+// factor through the bits of an S-box output:  h = HD(InvSbox(x^g), y) =
+// w(y) + Σ_k bit_k(InvSbox(x^g)) · (1 − 2·bit_k(y)).  The engine therefore
+// accumulates per-class sums (W and sign-weighted per-bit-plane partial
+// sums D indexed by the ciphertext byte x) at ~9·S work per trace instead
+// of the textbook 256·S rank-1 update of sum_ht[byte][guess][sample], and
+// report() materialises sum_ht for all 256 guesses at once as an
+// XOR-convolution via the Walsh–Hadamard transform.
 //
-//  * kStreaming — the reference path: every trace does the full rank-1
-//    update of sum_ht[byte][guess][sample] (256 guesses × S samples).
+// add() only buffers: it copies the trace into a tile of `batch_size()`
+// and records each attacked byte's class inputs (x, y).  The flush owns
+// everything else.  It is one parallel_for with one shard per attacked
+// byte plus one for the per-sample trace sums.  A byte's shard
+// stable-sorts the tile by class x and walks it class by class, so a
+// class's bit-plane rows (8 KB at S=125) stay in L1 while all of its
+// traces in the tile land in them — one row-group load per class per
+// tile instead of one per trace.  The same walk rebuilds each trace's
+// 256-guess hypothesis row from (x, y) and counts it into the byte's
+// integer sums sum_h/sum_h2.
 //
-//  * kBatched — the production path.  Hypotheses take only the nine values
-//    0..8, and both leakage models factor through the bits of an S-box
-//    output:  h = HD(InvSbox(x^g), y) = w(y) + Σ_k bit_k(InvSbox(x^g))
-//    · (1 − 2·bit_k(y)).  The engine therefore accumulates per-class sums
-//    (W and sign-weighted per-bit-plane partial sums D indexed by the
-//    ciphertext byte x) at ~9·S work per trace instead of 256·S, and
-//    report() materialises sum_ht for all 256 guesses at once as an
-//    XOR-convolution via the Walsh–Hadamard transform.
-//
-//    add() only buffers: it copies the trace into a tile of `batch_size()`
-//    and records each attacked byte's class inputs (x, y).  The flush owns
-//    everything else.  It is one parallel_for with one shard per attacked
-//    byte plus one for the per-sample trace sums.  A byte's shard
-//    stable-sorts the tile by class x and walks it class by class, so a
-//    class's bit-plane rows (8 KB at S=125) stay in L1 while all of its
-//    traces in the tile land in them — one row-group load per class per
-//    tile instead of one per trace.  The same walk rebuilds each trace's
-//    256-guess hypothesis row from (x, y) and counts it into the byte's
-//    integer sums sum_h/sum_h2.
-//
-//    The report is one parallel_for over (byte, ≤128-sample block) shards
-//    (blocks narrow to as few as 16 samples so that a report on one or two
-//    bytes still has 8 shards).  A shard copies each bit plane's 256 class
-//    rows into a dense [256][≤128] panel, transforms it with simd::wht256
-//    (the whole 256-point WHT down the panel's rows), accumulates the
-//    spectra-weighted planes, transforms back and scans every guess's
-//    correlation over the block with one peak_abs_correlation_scaled call.
-//    Per-block peaks merge by max().
+// The report is one parallel_for over (byte, ≤128-sample block) shards
+// (blocks narrow to as few as 16 samples so that a report on one or two
+// bytes still has 8 shards).  A shard copies each bit plane's 256 class
+// rows into a dense [256][≤128] panel, transforms it with simd::wht256
+// (the whole 256-point WHT down the panel's rows), accumulates the
+// spectra-weighted planes, transforms back and scans every guess's
+// correlation over the block with one peak_abs_correlation_scaled call.
+// Per-block peaks merge by max().
 //
 // Determinism: every per-element floating-point accumulation happens in
 // trace order regardless of tile boundaries.  The class sort is stable, so
@@ -47,13 +42,14 @@
 // trace sums are walked in plain trace order.  The hypothesis sums are
 // exact integers, so their order is free.  Every WHT element sees the same
 // add/sub sequence whatever the panel width or kernel backend.  Flush and
-// report shards are a pure function of (bytes, samples).  So batched
-// results are bit-identical for any input — not only quantized traces —
+// report shards are a pure function of (bytes, samples).  So results
+// are bit-identical for any input — not only quantized traces —
 // any RFTC_THREADS and any batch size.  On raw ADC traces (multiples
 // of the 400/256 mV quantum) every product and partial sum is an exact
-// small multiple of that quantum, so the batched engine is additionally
-// bit-identical to the streaming reference — the golden determinism test
-// pins this down.
+// small multiple of that quantum, so the engine is additionally
+// bit-identical to the textbook per-trace accumulator — the scalar oracle
+// in tests/cpa_oracle.hpp, which the golden determinism test and
+// fig4_cpa_speedup compare it against.
 #pragma once
 
 #include <array>
@@ -70,16 +66,11 @@ class Reader;
 
 namespace rftc::analysis {
 
-/// Which accumulation engine a CpaEngine uses (see file comment).
-enum class CpaMode {
-  kStreaming,
-  kBatched,
-};
+/// Read by nothing; kept for perfbench's two assignments.
+enum class CpaMode { kBatched };
 
 class CpaEngine {
  public:
-  /// RFTC_CPA_MODE=streaming|batched (default batched).
-  static CpaMode default_mode();
   /// RFTC_CPA_BATCH=<n> traces per tile (default env::kCpaBatchDefault,
   /// 1,024: ≈4 traces per class per tile, ≈0.5 MB of floats at S=125).
   static std::size_t default_batch_size();
@@ -88,8 +79,7 @@ class CpaEngine {
   /// default last-round model the recovered bytes belong to the round-10
   /// key; with the first-round model, to the master key.
   CpaEngine(std::size_t samples, std::vector<int> byte_positions,
-            aes::LeakageModel model = aes::LeakageModel::kLastRoundHd,
-            CpaMode mode = default_mode());
+            aes::LeakageModel model = aes::LeakageModel::kLastRoundHd);
 
   /// Accumulate one trace with its known plaintext/observed ciphertext.
   void add(const aes::Block& plaintext, const aes::Block& ciphertext,
@@ -100,10 +90,9 @@ class CpaEngine {
   std::size_t count() const { return n_; }
   std::size_t samples() const { return samples_; }
   const std::vector<int>& byte_positions() const { return bytes_; }
-  CpaMode mode() const { return mode_; }
 
   std::size_t batch_size() const { return batch_; }
-  /// Resizes the tile (batched mode; flushes any buffered traces first).
+  /// Resizes the tile (flushes any buffered traces first).
   /// Results are independent of the batch size — this is a tuning knob.
   /// Throws std::invalid_argument for 0, for more than UINT32_MAX traces
   /// and for a tile whose size in samples or class bytes would overflow —
@@ -111,10 +100,10 @@ class CpaEngine {
   void set_batch_size(std::size_t batch);
 
   /// Folds another engine's accumulated state into this one.  Both engines
-  /// must have identical geometry (samples, byte positions, leakage model,
-  /// mode); any buffered tiles are flushed first, then every sum —
-  /// per-sample trace sums, integer hypothesis sums and the mode's cross
-  /// sums — is combined elementwise.  The integer sums are exact, and on
+  /// must have identical geometry (samples, byte positions, leakage model);
+  /// any buffered tiles are flushed first, then every sum — per-sample
+  /// trace sums, integer hypothesis sums and class sums — is combined
+  /// elementwise.  The integer sums are exact, and on
   /// ADC-quantized traces the double sums are too, so merging is
   /// associative and bit-identical to a single engine fed shard A's traces
   /// then shard B's (the sharded-campaign contract; see docs/TESTING.md and
@@ -130,8 +119,11 @@ class CpaEngine {
   void merge(std::span<const unsigned char> blob);
 
   /// Byte-exact snapshot of the engine state for the distributed campaign
-  /// protocol: geometry (samples, byte positions, model, mode) plus every
-  /// accumulator array, raw doubles/int64s with a trailing CRC-32.  Any
+  /// protocol: geometry (samples, byte positions, model) plus every
+  /// accumulator array, raw doubles/int64s with a trailing CRC-32.  The
+  /// u32 after the magic is an engine tag, always 1: tag 0 marked the
+  /// per-guess cross sums of an older streaming engine, and any tag but 1
+  /// is rejected with std::runtime_error.  Any
   /// buffered tile is flushed first, so the blob is independent of the
   /// batch size.  deserialize() reconstructs an engine whose merge() and
   /// report() are bit-identical to the original — it parses the header,
@@ -157,39 +149,26 @@ class CpaEngine {
   std::vector<ByteReport> report() const;
 
  private:
-  void add_streaming(const aes::Block& plaintext, const aes::Block& ciphertext,
-                     std::span<const float> trace);
-  void add_batched(const aes::Block& plaintext, const aes::Block& ciphertext,
-                   std::span<const float> trace);
   /// Drains the tile into the class sums (byte-sharded, class-sorted).
   void flush() const;
   /// Adds a validated snapshot's `n` and arrays (`arrays` positioned at the
   /// first one, holding exactly this geometry's payload) into this engine.
   void fold(std::uint64_t n, wire::Reader& arrays);
-  std::vector<ByteReport> report_streaming() const;
-  std::vector<ByteReport> report_batched() const;
 
   std::size_t samples_;
   std::vector<int> bytes_;
   aes::LeakageModel model_;
-  CpaMode mode_;
   std::size_t batch_;
   std::size_t n_ = 0;
 
-  // Shared per-sample sums (batched mode updates them during flush).
+  // Per-sample trace sums (updated during flush).
   mutable std::vector<double> sum_t_, sum_t2_;
   // Per (byte, guess) scalar hypothesis sums.  h is an integer in 0..8, so
-  // int64 accumulation is exact and trivially order-independent (batched
-  // mode updates them during flush).
+  // int64 accumulation is exact and trivially order-independent (updated
+  // during flush).
   mutable std::vector<std::int64_t> sum_h_, sum_h2_;
 
-  // --- kStreaming state ---
-  // Per (byte, guess, sample) cross sums, layout [b][g][s].
-  std::vector<double> sum_ht_;
-  // Scratch: trace converted to double once per add.
-  std::vector<double> scratch_;
-
-  // --- kBatched state (class sums; see file comment) ---
+  // Class sums (see file comment).
   // Last-round: W_[b][s] = Σ_i w(y_i)·t_i[s] and
   // D_[b][x][k][s] = Σ_{i: x_i=x} (1 − 2·bit_k(y_i))·t_i[s].
   // First-round: h has no y term, so W_ is unused and the bit planes

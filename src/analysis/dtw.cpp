@@ -72,50 +72,12 @@ Workspace& workspace() {
   return ws;
 }
 
-obs::Counter& lb_kim_reject_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("analysis.dtw.lb_kim_rejects");
-  return c;
-}
-
-obs::Counter& early_abandon_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("analysis.dtw.early_abandons");
-  return c;
-}
-
-/// O(n + m) lower bound on the banded DTW distance (LB_Kim style).  Every
-/// warp path matches (a[0], b[0]) and (a[n-1], b[m-1]), and must match the
-/// extremal value of one series against SOME value of the other, so the
-/// distance is at least
-///   max( d2(a0,b0) [+ d2(a_last,b_last) when distinct cells],
-///        (max(a) - max(b))^2, (min(a) - min(b))^2 ).
-double lb_kim(std::span<const double> a, std::span<const double> b) {
-  const std::size_t n = a.size(), m = b.size();
-  const double d0 = a[0] - b[0];
-  const double dl = a[n - 1] - b[m - 1];
-  double lb = d0 * d0 + (n + m > 2 ? dl * dl : 0.0);
-  const auto [amin, amax] = std::minmax_element(a.begin(), a.end());
-  const auto [bmin, bmax] = std::minmax_element(b.begin(), b.end());
-  const double dmax = *amax - *bmax;
-  const double dmin = *amin - *bmin;
-  lb = std::max(lb, dmax * dmax);
-  lb = std::max(lb, dmin * dmin);
-  return lb;
-}
-
 }  // namespace
 
 double dtw_distance(std::span<const double> a, std::span<const double> b,
                     const DtwParams& params) {
   const std::size_t n = a.size(), m = b.size();
   if (n == 0 || m == 0) throw std::invalid_argument("dtw_distance: empty");
-  const double cutoff = params.max_distance;
-  const bool pruned = cutoff < kInf;
-  if (pruned && lb_kim(a, b) > cutoff) {
-    lb_kim_reject_counter().inc();
-    return kDtwAbandoned;
-  }
   Band band{n, m, effective_band(n, m, params)};
 
   // prev[0] = D(0, 0) = 0 anchors the path start: cell (1, 1) reads it as
@@ -137,30 +99,13 @@ double dtw_distance(std::span<const double> a, std::span<const double> b,
     const std::size_t clear_hi = i < n ? std::max(hi, band.hi(i + 1)) : hi;
     std::fill(cur + (lo - 1), cur + clear_hi + 1, kInf);
     const double ai = a[i - 1];
-    double row_min = kInf;
     for (std::size_t j = lo; j <= hi; ++j) {
-      const double d = ai - b[j - 1];
-      const double cost = d * d;
       const double best = std::min({prev[j - 1], prev[j], cur[j - 1]});
       if (best == kInf) continue;
-      const double v = cost + best;
-      // Cell pruning: any path through a cell above the cutoff already
-      // exceeds it (costs are non-negative), so the cell can be treated as
-      // unreachable without affecting any result <= cutoff.
-      if (pruned && v > cutoff) continue;
-      cur[j] = v;
-      row_min = std::min(row_min, v);
-    }
-    if (pruned && row_min == kInf) {
-      // Every surviving path prefix exceeds the cutoff: abandon.
-      early_abandon_counter().inc();
-      return kDtwAbandoned;
+      const double d = ai - b[j - 1];
+      cur[j] = d * d + best;
     }
     std::swap(prev, cur);
-  }
-  if (pruned && prev[m] == kInf) {
-    early_abandon_counter().inc();
-    return kDtwAbandoned;
   }
   return prev[m];
 }

@@ -5,32 +5,18 @@
 // A Sakoe–Chiba band bounds the warping window, turning the O(n^2) DP of
 // the paper's background section into O(n·w) per trace — the standard
 // engineering choice for attack campaigns on long traces; with the window
-// at n the implementation degenerates to the full DP.
-//
-// For nearest-neighbour style searches (template matching, the planned
-// frequency-set optimizer inner loop), dtw_distance additionally supports
-// early abandoning: pass `max_distance` (typically the best distance found
-// so far) and the call first applies an O(n + m) LB_Kim-style lower bound,
-// then prunes DP cells above the cutoff and abandons as soon as a whole
-// row exceeds it.  An abandoned call returns the `kDtwAbandoned` sentinel;
-// a returned finite value <= max_distance is exactly the unpruned banded
-// distance.  All DP scratch (rolling rows, move matrices, backtrack
-// accumulators) lives in per-thread reusable workspaces, so steady-state
-// calls allocate nothing.
+// at n the implementation degenerates to the full DP.  DTW-CPA calls only
+// dtw_align; dtw_distance is the same banded DP without the warp path.
+// All DP scratch (rolling rows, move matrices, backtrack accumulators)
+// lives in per-thread reusable workspaces, so steady-state calls allocate
+// nothing.
 #pragma once
 
-#include <limits>
+#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace rftc::analysis {
-
-/// Sentinel returned by dtw_distance when the `max_distance` cutoff proves
-/// the true distance exceeds it (lower-bound reject or early abandon).
-/// Compares greater than every real distance, so best-so-far updates in a
-/// search loop need no special casing.
-inline constexpr double kDtwAbandoned =
-    std::numeric_limits<double>::infinity();
 
 struct DtwParams {
   /// Sakoe–Chiba band half-width in samples.  0 selects the unconstrained
@@ -46,18 +32,10 @@ struct DtwParams {
   /// reference), which is the mechanism behind the paper's observation
   /// that DTW fails once the frequency spread is large (§8).
   bool slope_constrained = true;
-  /// Early-abandon cutoff for dtw_distance: when finite, the call returns
-  /// kDtwAbandoned as soon as the distance provably exceeds this value
-  /// (LB_Kim prefilter, per-cell pruning, row-minimum abandon).  The
-  /// default (infinity) disables pruning entirely.  Results <= the cutoff
-  /// are bit-identical to the unpruned DP.  Ignored by dtw_align, which
-  /// must always produce a complete warp path.
-  double max_distance = std::numeric_limits<double>::infinity();
 };
 
-/// DTW distance between `a` and `b` (squared-difference local cost).
-/// Returns kDtwAbandoned when params.max_distance is finite and the true
-/// distance exceeds it (see DtwParams::max_distance).
+/// Banded DTW distance between `a` and `b` (squared-difference local
+/// cost); slope_constrained applies to dtw_align only.
 double dtw_distance(std::span<const double> a, std::span<const double> b,
                     const DtwParams& params = {});
 

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -35,10 +37,21 @@ const Value& member(const Value& obj, const char* key) {
   return *v;
 }
 
-std::uint64_t member_u64(const Value& obj, const char* key) {
-  const Value& v = member(obj, key);
-  if (!v.is_number() || v.num < 0.0) bad(std::string(key) + " must be a non-negative number");
+/// `v` as an unsigned integer no larger than `max`: a JSON number that is
+/// integral and in range, so the conversion below is exact and defined.
+std::uint64_t as_uint(const Value& v, const std::string& what,
+                      std::uint64_t max = UINT64_MAX) {
+  // 2^64 as a double; UINT64_MAX itself rounds up to it.
+  constexpr double kTwo64 = 18446744073709551616.0;
+  if (!v.is_number() || !(v.num >= 0.0) || v.num >= kTwo64 ||
+      std::floor(v.num) != v.num || static_cast<std::uint64_t>(v.num) > max)
+    bad(what + " must be an integer in [0, " + std::to_string(max) + "]");
   return static_cast<std::uint64_t>(v.num);
+}
+
+std::uint64_t member_u64(const Value& obj, const char* key,
+                         std::uint64_t max = UINT64_MAX) {
+  return as_uint(member(obj, key), key, max);
 }
 
 std::string member_str(const Value& obj, const char* key) {
@@ -80,10 +93,6 @@ std::string spec_json_body(const CampaignSpec& spec) {
         << obs::json::quote(spec.leakage == aes::LeakageModel::kLastRoundHd
                                 ? "last_round_hd"
                                 : "first_round_hw")
-        << ",\"engine\":"
-        << obs::json::quote(spec.engine_mode == analysis::CpaMode::kStreaming
-                                ? "streaming"
-                                : "batched")
         << ",\"downsample\":" << spec.downsample
         << ",\"bytes\":" << int_list_json(spec.byte_positions)
         << ",\"checkpoints\":" << size_list_json(spec.checkpoints);
@@ -114,28 +123,17 @@ CampaignSpec spec_from_value(const Value& obj) {
       spec.leakage = aes::LeakageModel::kFirstRoundHw;
     else
       bad("unknown leakage model \"" + leakage + "\"");
-    const std::string engine = member_str(obj, "engine");
-    if (engine == "streaming")
-      spec.engine_mode = analysis::CpaMode::kStreaming;
-    else if (engine == "batched")
-      spec.engine_mode = analysis::CpaMode::kBatched;
-    else
-      bad("unknown engine mode \"" + engine + "\"");
     spec.downsample = static_cast<std::size_t>(member_u64(obj, "downsample"));
     const Value& bytes = member(obj, "bytes");
     if (!bytes.is_array()) bad("bytes must be an array");
-    for (const Value& b : bytes.array) {
-      if (!b.is_number() || b.num < 0.0 || b.num > 15.0)
-        bad("byte positions must be numbers in [0, 15]");
-      spec.byte_positions.push_back(static_cast<int>(b.num));
-    }
+    for (const Value& b : bytes.array)
+      spec.byte_positions.push_back(
+          static_cast<int>(as_uint(b, "byte positions", 15)));
     const Value& cps = member(obj, "checkpoints");
     if (!cps.is_array()) bad("checkpoints must be an array");
-    for (const Value& c : cps.array) {
-      if (!c.is_number() || c.num < 0.0)
-        bad("checkpoints must be non-negative numbers");
-      spec.checkpoints.push_back(static_cast<std::size_t>(c.num));
-    }
+    for (const Value& c : cps.array)
+      spec.checkpoints.push_back(
+          static_cast<std::size_t>(as_uint(c, "checkpoints")));
   } else {
     spec.fixed_store = member_str(obj, "fixed");
     spec.random_store = member_str(obj, "random");
@@ -154,7 +152,6 @@ analysis::AttackParams CampaignSpec::attack_params() const {
   params.kind = analysis::AttackKind::kCpa;
   params.leakage = leakage;
   params.byte_positions = byte_positions;
-  params.engine_mode = engine_mode;
   params.downsample = downsample;
   params.checkpoints = checkpoints;
   return params;
@@ -245,7 +242,8 @@ ShardDone done_from_json(std::string_view text) {
   done.shard.t0 = static_cast<std::size_t>(member_u64(v, "t0"));
   done.shard.t1 = static_cast<std::size_t>(member_u64(v, "t1"));
   done.acc_bytes = member_u64(v, "acc_bytes");
-  done.acc_crc = static_cast<std::uint32_t>(member_u64(v, "acc_crc32"));
+  done.acc_crc = static_cast<std::uint32_t>(
+      member_u64(v, "acc_crc32", UINT32_MAX));
   return done;
 }
 

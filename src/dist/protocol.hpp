@@ -59,6 +59,7 @@ struct CampaignSpec {
   std::string store;
   std::string key_hex;  ///< 32 hex chars; round-10 key under kLastRoundHd
   aes::LeakageModel leakage = aes::LeakageModel::kLastRoundHd;
+  /// Read by nothing; kept for perfbench's two assignments.
   analysis::CpaMode engine_mode = analysis::CpaMode::kBatched;
   std::size_t downsample = 4;
   std::vector<int> byte_positions;        ///< empty = all 16

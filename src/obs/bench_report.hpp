@@ -13,7 +13,7 @@
 //     "phases": {"<phase>": {"seconds": <double>, "entries": N,
 //                            "cycles": N, ...}, ...},
 //     "provenance": {"git_sha": "...", "build_type": "...",
-//                    "cpa_mode": "...", "threads": N, "batch": N,
+//                    "threads": N, "batch": N,
 //                    "seed": "N"},   // quoted: 64-bit, exceeds a double
 //     "metrics": {"<key>": {"value": <double>, "unit": "<string>"}, ...},
 //     "notes": {"<key>": "<string>", ...}     // e.g. scale profile
@@ -31,7 +31,7 @@
 //
 // Every report automatically carries "threads" and "batch" metrics — the
 // RFTC_THREADS / RFTC_CPA_BATCH configuration the bench ran under — and the
-// full Provenance block (git sha, build type, CPA engine mode); benches
+// full Provenance block (git sha, build type, threads, batch); benches
 // stamp their campaign base seed via seed().
 //
 // The output directory defaults to the working directory; set

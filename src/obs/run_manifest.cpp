@@ -39,14 +39,10 @@ Provenance Provenance::collect() {
   Provenance p;
   p.git_sha = RFTC_GIT_SHA;
   p.build_type = RFTC_BUILD_TYPE;
-  // Knob defaults mirror par::thread_count() / CpaEngine::default_mode();
-  // re-read from the environment because obs sits below rftc_util in the
-  // link order (see BenchReport).  The tile size shares its reader with
+  // The thread default mirrors par::thread_count(), re-read from the
+  // environment because obs sits below rftc_util in the link order (see
+  // BenchReport).  The tile size shares its reader with
   // CpaEngine::default_batch_size().
-  const char* mode = std::getenv("RFTC_CPA_MODE");
-  p.cpa_mode = mode != nullptr && std::string_view(mode) == "streaming"
-                   ? "streaming"
-                   : "batched";
   const std::size_t hw = std::thread::hardware_concurrency();
   p.threads = env::read_count("RFTC_THREADS", hw > 0 ? hw : 1);
   p.batch = env::cpa_batch();
@@ -57,7 +53,6 @@ std::string Provenance::to_json() const {
   std::string out = "{";
   out += "\"git_sha\": " + json::quote(git_sha);
   out += ", \"build_type\": " + json::quote(build_type);
-  out += ", \"cpa_mode\": " + json::quote(cpa_mode);
   out += ", \"threads\": " + json::number(static_cast<double>(threads));
   out += ", \"batch\": " + json::number(static_cast<double>(batch));
   // Quoted: 64-bit seeds do not survive a round-trip through a JSON

@@ -51,8 +51,6 @@ struct Provenance {
   std::string git_sha;
   /// CMAKE_BUILD_TYPE of the binary.
   std::string build_type;
-  /// CPA accumulation engine ("streaming"|"batched", from RFTC_CPA_MODE).
-  std::string cpa_mode;
   /// Worker count (RFTC_THREADS or hardware concurrency).
   std::size_t threads = 1;
   /// CPA tile size (RFTC_CPA_BATCH or the engine default).

@@ -8,7 +8,6 @@
 namespace rftc::simd::detail {
 
 struct KernelTable {
-  void (*widen)(const float*, double*, std::size_t);
   void (*accumulate_sums)(const double*, double*, double*, std::size_t);
   void (*accumulate_sums_f)(const float*, double*, double*, std::size_t);
   void (*add_f)(const float*, double*, std::size_t);
@@ -22,15 +21,11 @@ struct KernelTable {
                            std::size_t);
   void (*welch_t)(const double*, const double*, const double*, const double*,
                   const double*, const double*, double*, std::size_t);
-  double (*peak_abs_correlation)(double, double, double, const double*,
-                                 const double*, const double*, std::size_t);
   double (*peak_abs_correlation_scaled)(double, double, double, const double*,
                                         const double*, const double*,
                                         const double*, double, std::size_t);
   void (*xor_popcount)(const std::uint8_t*, std::uint8_t, std::uint8_t*,
                        std::size_t);
-  void (*hyp_sums)(const std::uint8_t*, std::int64_t*, std::int64_t*,
-                   std::size_t);
   std::uint32_t (*crc32_update)(std::uint32_t, const std::uint8_t*,
                                 std::size_t);
 };

@@ -24,10 +24,6 @@ namespace {
 // contraction on SSE2 targets).
 // ---------------------------------------------------------------------------
 
-void s_widen(const float* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = static_cast<double>(x[i]);
-}
-
 void s_accumulate_sums(const double* t, double* s1, double* s2,
                        std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -118,22 +114,6 @@ void s_welch_t(const double* na, const double* ma, const double* m2a,
   }
 }
 
-double s_peak_abs_correlation(double n, double sh, double sh2,
-                              const double* st, const double* st2,
-                              const double* ht, std::size_t len) {
-  const double dh = n * sh2 - sh * sh;
-  if (dh <= 0.0) return 0.0;
-  double peak = 0.0;
-  for (std::size_t i = 0; i < len; ++i) {
-    const double num = n * ht[i] - sh * st[i];
-    const double dt = n * st2[i] - st[i] * st[i];
-    if (dt <= 0.0) continue;  // degenerate sample: correlation defined as 0
-    const double c = num / std::sqrt(dh * dt);
-    peak = std::max(peak, std::fabs(c));
-  }
-  return peak;
-}
-
 double s_peak_abs_correlation_scaled(double n, double sh, double sh2,
                                      const double* st, const double* st2,
                                      const double* acc, const double* w,
@@ -157,15 +137,6 @@ void s_xor_popcount(const std::uint8_t* pre, std::uint8_t y, std::uint8_t* out,
   for (std::size_t i = 0; i < n; ++i)
     out[i] = static_cast<std::uint8_t>(
         __builtin_popcount(static_cast<unsigned>(pre[i] ^ y)));
-}
-
-void s_hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
-                std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t h = row[i];
-    sh[i] += h;
-    sh2[i] += h * h;
-  }
 }
 
 constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
@@ -238,7 +209,6 @@ std::uint32_t crc32_bytes(std::uint32_t crc, const std::uint8_t* p,
 
 const KernelTable& scalar_table() {
   static const KernelTable t = {
-      s_widen,
       s_accumulate_sums,
       s_accumulate_sums_f,
       s_add_f,
@@ -249,10 +219,8 @@ const KernelTable& scalar_table() {
       s_welford_update,
       s_welford_update_f,
       s_welch_t,
-      s_peak_abs_correlation,
       s_peak_abs_correlation_scaled,
       s_xor_popcount,
-      s_hyp_sums,
       crc32_bytes,
   };
   return t;
@@ -287,8 +255,6 @@ void set_backend(Backend b) {
 
 // Public kernel entry points: one indirect call per array, amortized over
 // the whole range.
-
-void widen(const float* x, double* y, std::size_t n) { table().widen(x, y, n); }
 
 void accumulate_sums(const double* t, double* s1, double* s2, std::size_t n) {
   table().accumulate_sums(t, s1, s2, n);
@@ -330,12 +296,6 @@ void welch_t(const double* na, const double* ma, const double* m2a,
   table().welch_t(na, ma, m2a, nb, mb, m2b, t, n);
 }
 
-double peak_abs_correlation(double n, double sh, double sh2, const double* st,
-                            const double* st2, const double* ht,
-                            std::size_t len) {
-  return table().peak_abs_correlation(n, sh, sh2, st, st2, ht, len);
-}
-
 double peak_abs_correlation_scaled(double n, double sh, double sh2,
                                    const double* st, const double* st2,
                                    const double* acc, const double* w,
@@ -347,11 +307,6 @@ double peak_abs_correlation_scaled(double n, double sh, double sh2,
 void xor_popcount(const std::uint8_t* pre, std::uint8_t y, std::uint8_t* out,
                   std::size_t n) {
   table().xor_popcount(pre, y, out, n);
-}
-
-void hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
-              std::size_t n) {
-  table().hyp_sums(row, sh, sh2, n);
 }
 
 std::uint32_t crc32_update(std::uint32_t crc, const void* data,

@@ -18,10 +18,11 @@
 // kernels use explicit mul-then-add (no fused multiply-add), so scalar and
 // AVX2 backends produce bit-identical results on any input; the golden
 // equivalence tests (test_simd.cpp) pin this down across RFTC_THREADS x
-// RFTC_SIMD.  Reductions (peak_abs_correlation) only ever combine lanes
-// with max(), which is exact and order-independent.  crc32_update is the
-// one non-elementwise kernel: it is integer arithmetic over GF(2), so the
-// AVX2 fold and the scalar byte table agree on every input by construction.
+// RFTC_SIMD.  The one reduction (peak_abs_correlation_scaled) only ever
+// combines lanes with max(), which is exact and order-independent.
+// crc32_update is the one non-elementwise kernel: it is integer arithmetic
+// over GF(2), so the AVX2 fold and the scalar byte table agree on every
+// input by construction.
 //
 // Selection is observable: the "rftc.simd.isa" gauge (0 = scalar,
 // 1 = avx2) is published through rftc::obs, and benches stamp
@@ -59,9 +60,6 @@ void set_backend(Backend b);
 // Kernels.  All pointers may be unaligned; x/y (input/accumulator) ranges
 // must not alias unless stated.  n == 0 is a no-op.
 // ---------------------------------------------------------------------------
-
-/// y[i] = x[i] (float -> double widening copy).
-void widen(const float* x, double* y, std::size_t n);
 
 /// s1[i] += t[i]; s2[i] += t[i] * t[i]  (per-sample first/second moments).
 void accumulate_sums(const double* t, double* s1, double* s2, std::size_t n);
@@ -108,15 +106,10 @@ void welch_t(const double* na, const double* ma, const double* m2a,
              double* t, std::size_t n);
 
 /// max_i |corr_i| where corr_i = correlation_from_sums(n, sh, sh2, st[i],
-/// st2[i], ht[i]) — the per-guess CPA correlation sweep.  The (n, sh, sh2)
-/// terms are scalar per guess, so the hypothesis variance is hoisted.
-double peak_abs_correlation(double n, double sh, double sh2, const double* st,
-                            const double* st2, const double* ht,
-                            std::size_t len);
-
-/// Batched-report variant: the cross sum is materialised on the fly as
-/// ht[i] = w[i] + acc[i] * scale (w may be null, read as 0.0) before the
-/// same correlation sweep.
+/// st2[i], ht[i]) — the per-guess CPA correlation sweep, with the cross sum
+/// materialised on the fly as ht[i] = w[i] + acc[i] * scale (w may be null,
+/// read as 0.0).  The (n, sh, sh2) terms are scalar per guess, so the
+/// hypothesis variance is hoisted.
 double peak_abs_correlation_scaled(double n, double sh, double sh2,
                                    const double* st, const double* st2,
                                    const double* acc, const double* w,
@@ -126,11 +119,6 @@ double peak_abs_correlation_scaled(double n, double sh, double sh2,
 /// a precomputed contiguous S-box row (see aes/leakage.cpp).
 void xor_popcount(const std::uint8_t* pre, std::uint8_t y, std::uint8_t* out,
                   std::size_t n);
-
-/// sh[i] += row[i]; sh2[i] += row[i] * row[i] — exact integer hypothesis
-/// sums over one precomputed 256-guess model row (row values are <= 8).
-void hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
-              std::size_t n);
 
 /// Incremental CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of
 /// data[0, len), continuing from the running value `crc` (start from 0).

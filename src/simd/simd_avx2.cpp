@@ -10,7 +10,6 @@
 #include <immintrin.h>
 
 #include <cmath>
-#include <cstring>
 
 namespace rftc::simd::detail {
 
@@ -18,12 +17,6 @@ namespace {
 
 inline __m256d load4f_as_pd(const float* x) {
   return _mm256_cvtps_pd(_mm_loadu_ps(x));
-}
-
-void v_widen(const float* x, double* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(y + i, load4f_as_pd(x + i));
-  for (; i < n; ++i) y[i] = static_cast<double>(x[i]);
 }
 
 void v_accumulate_sums(const double* t, double* s1, double* s2,
@@ -218,13 +211,13 @@ void v_welch_t(const double* na, const double* ma, const double* m2a,
   }
 }
 
-// Shared correlation-sweep core: ht is either read directly or materialised
-// as w + acc * scale.  max() is the only cross-lane combine, so the
-// reduction is exact and order-independent.
-template <bool kScaled>
-double sweep_peak(double n, double sh, double sh2, const double* st,
-                  const double* st2, const double* ht_or_acc, const double* w,
-                  double scale, std::size_t len) {
+// The correlation sweep with ht materialised as w + acc * scale.  max() is
+// the only cross-lane combine, so the reduction is exact and
+// order-independent.
+double v_peak_abs_correlation_scaled(double n, double sh, double sh2,
+                                     const double* st, const double* st2,
+                                     const double* acc, const double* w,
+                                     double scale, std::size_t len) {
   const double dh = n * sh2 - sh * sh;
   if (dh <= 0.0) return 0.0;
   const __m256d vn = _mm256_set1_pd(n);
@@ -237,14 +230,9 @@ double sweep_peak(double n, double sh, double sh2, const double* st,
   __m256d vpeak = zero;
   std::size_t i = 0;
   for (; i + 4 <= len; i += 4) {
-    __m256d ht;
-    if constexpr (kScaled) {
-      const __m256d vw = w != nullptr ? _mm256_loadu_pd(w + i) : zero;
-      ht = _mm256_add_pd(
-          vw, _mm256_mul_pd(_mm256_loadu_pd(ht_or_acc + i), vscale));
-    } else {
-      ht = _mm256_loadu_pd(ht_or_acc + i);
-    }
+    const __m256d vw = w != nullptr ? _mm256_loadu_pd(w + i) : zero;
+    const __m256d ht =
+        _mm256_add_pd(vw, _mm256_mul_pd(_mm256_loadu_pd(acc + i), vscale));
     const __m256d vst = _mm256_loadu_pd(st + i);
     const __m256d num =
         _mm256_sub_pd(_mm256_mul_pd(vn, ht), _mm256_mul_pd(vsh, vst));
@@ -263,9 +251,7 @@ double sweep_peak(double n, double sh, double sh2, const double* st,
   double peak = std::max(std::max(lanes[0], lanes[1]),
                          std::max(lanes[2], lanes[3]));
   for (; i < len; ++i) {
-    const double ht =
-        kScaled ? (w != nullptr ? w[i] : 0.0) + ht_or_acc[i] * scale
-                : ht_or_acc[i];
+    const double ht = (w != nullptr ? w[i] : 0.0) + acc[i] * scale;
     const double num = n * ht - sh * st[i];
     const double dt = n * st2[i] - st[i] * st[i];
     if (dt <= 0.0) continue;
@@ -273,19 +259,6 @@ double sweep_peak(double n, double sh, double sh2, const double* st,
     peak = std::max(peak, std::fabs(c));
   }
   return peak;
-}
-
-double v_peak_abs_correlation(double n, double sh, double sh2,
-                              const double* st, const double* st2,
-                              const double* ht, std::size_t len) {
-  return sweep_peak<false>(n, sh, sh2, st, st2, ht, nullptr, 0.0, len);
-}
-
-double v_peak_abs_correlation_scaled(double n, double sh, double sh2,
-                                     const double* st, const double* st2,
-                                     const double* acc, const double* w,
-                                     double scale, std::size_t len) {
-  return sweep_peak<true>(n, sh, sh2, st, st2, acc, w, scale, len);
 }
 
 void v_xor_popcount(const std::uint8_t* pre, std::uint8_t y, std::uint8_t* out,
@@ -309,34 +282,6 @@ void v_xor_popcount(const std::uint8_t* pre, std::uint8_t y, std::uint8_t* out,
   for (; i < n; ++i)
     out[i] = static_cast<std::uint8_t>(
         __builtin_popcount(static_cast<unsigned>(pre[i] ^ y)));
-}
-
-void v_hyp_sums(const std::uint8_t* row, std::int64_t* sh, std::int64_t* sh2,
-                std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    std::uint32_t packed;
-    std::memcpy(&packed, row + i, 4);
-    const __m256i h = _mm256_cvtepu8_epi64(
-        _mm_cvtsi32_si128(static_cast<int>(packed)));
-    // Values are <= 8 with zeroed high halves, so the 32x32->64 multiply
-    // yields the exact square.
-    const __m256i h2 = _mm256_mul_epu32(h, h);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(sh + i),
-        _mm256_add_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sh + i)), h));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(sh2 + i),
-        _mm256_add_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sh2 + i)),
-            h2));
-  }
-  for (; i < n; ++i) {
-    const std::int64_t h = row[i];
-    sh[i] += h;
-    sh2[i] += h * h;
-  }
 }
 
 // CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC Computation
@@ -424,7 +369,6 @@ std::uint32_t v_crc32_update(std::uint32_t crc, const std::uint8_t* p,
 
 const KernelTable& avx2_table() {
   static const KernelTable t = {
-      v_widen,
       v_accumulate_sums,
       v_accumulate_sums_f,
       v_add_f,
@@ -435,10 +379,8 @@ const KernelTable& avx2_table() {
       v_welford_update,
       v_welford_update_f,
       v_welch_t,
-      v_peak_abs_correlation,
       v_peak_abs_correlation_scaled,
       v_xor_popcount,
-      v_hyp_sums,
       v_crc32_update,
   };
   return t;

@@ -18,6 +18,7 @@
 #include "trace/acquisition.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "cpa_oracle.hpp"
 
 namespace rftc {
 namespace {
@@ -251,29 +252,22 @@ void expect_identical(const std::vector<CpaCheckpoint>& a,
 TEST(ConvergenceMonitorInvariance, BitIdenticalAcrossThreadsAndEngines) {
   ThreadCountGuard guard;
   const aes::Block rk10 = aes::expand_key(monitor_key())[10];
-  std::unique_ptr<std::vector<CpaCheckpoint>> reference;
+  analysis::AttackParams params;
+  params.kind = analysis::AttackKind::kCpa;
+  params.byte_positions = {0, 5, 10, 15};
+  params.checkpoints = {100, 200, 400, 600};
+  // Reference: the scalar oracle's checkpoints through the same monitor.
+  ConvergenceMonitor reference;
+  params.monitor = &reference;
+  (void)analysis::oracle_attack(monitor_set(), rk10, params);
+  ASSERT_EQ(reference.cpa().size(), 4u);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    for (const analysis::CpaMode mode :
-         {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
-      par::set_thread_count(threads);
-      analysis::AttackParams params;
-      params.kind = analysis::AttackKind::kCpa;
-      params.byte_positions = {0, 5, 10, 15};
-      params.checkpoints = {100, 200, 400, 600};
-      params.engine_mode = mode;
-      ConvergenceMonitor monitor;
-      params.monitor = &monitor;
-      (void)analysis::run_attack(monitor_set(), rk10, params);
-      ASSERT_EQ(monitor.cpa().size(), 4u);
-      if (!reference) {
-        reference = std::make_unique<std::vector<CpaCheckpoint>>(
-            monitor.cpa());
-        continue;
-      }
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " mode=" +
-                   std::to_string(static_cast<int>(mode)));
-      expect_identical(*reference, monitor.cpa());
-    }
+    par::set_thread_count(threads);
+    ConvergenceMonitor monitor;
+    params.monitor = &monitor;
+    (void)analysis::run_attack(monitor_set(), rk10, params);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_identical(reference.cpa(), monitor.cpa());
   }
 }
 
@@ -302,22 +296,18 @@ TEST(ConvergenceMonitorInvariance, MonitoredAttackMakesOneReportPerCheckpoint) {
   const aes::Block rk10 = aes::expand_key(monitor_key())[10];
   const obs::Counter& reports =
       obs::Registry::global().counter("cpa.reports");
-  for (const analysis::CpaMode mode :
-       {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
-    analysis::AttackParams params;
-    params.byte_positions = {0, 5, 10, 15};
-    params.checkpoints = {100, 200, 200, 400, 600};
-    params.engine_mode = mode;
-    ConvergenceMonitor monitor;
-    params.monitor = &monitor;
-    const std::uint64_t before = reports.value();
-    const analysis::AttackOutcome out =
-        analysis::run_attack(monitor_set(), rk10, params);
-    EXPECT_EQ(reports.value() - before, out.checkpoints.size());
-    ASSERT_EQ(monitor.cpa().size(), 5u);
-    EXPECT_EQ(monitor.cpa().back().mean_rank, out.mean_rank.back());
-    EXPECT_EQ(monitor.cpa().back().peak_corr, out.peak_corr.back());
-  }
+  analysis::AttackParams params;
+  params.byte_positions = {0, 5, 10, 15};
+  params.checkpoints = {100, 200, 200, 400, 600};
+  ConvergenceMonitor monitor;
+  params.monitor = &monitor;
+  const std::uint64_t before = reports.value();
+  const analysis::AttackOutcome out =
+      analysis::run_attack(monitor_set(), rk10, params);
+  EXPECT_EQ(reports.value() - before, out.checkpoints.size());
+  ASSERT_EQ(monitor.cpa().size(), 5u);
+  EXPECT_EQ(monitor.cpa().back().mean_rank, out.mean_rank.back());
+  EXPECT_EQ(monitor.cpa().back().peak_corr, out.peak_corr.back());
 }
 
 TEST(ConvergenceMonitorInvariance, TvlaFinalCheckpointMatchesResult) {

@@ -1,7 +1,7 @@
 // Determinism guarantees of the parallel pipeline (docs/PERFORMANCE.md):
 // with a fixed seed, captures and analyses are bit-identical for any
 // RFTC_THREADS and any CPA batch size, and on raw quantized traces the
-// batched CPA engine agrees bit-for-bit with the streaming reference.
+// CPA engine agrees bit-for-bit with the scalar oracle (cpa_oracle.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +19,7 @@
 #include "util/env.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "cpa_oracle.hpp"
 
 namespace rftc {
 namespace {
@@ -144,8 +145,7 @@ void expect_identical_reports(
 analysis::CpaEngine batched_engine(const trace::TraceSet& set,
                                    aes::LeakageModel model, std::size_t batch,
                                    float (*scale)(std::size_t)) {
-  analysis::CpaEngine engine(set.samples(), {0, 7, 15}, model,
-                             analysis::CpaMode::kBatched);
+  analysis::CpaEngine engine(set.samples(), {0, 7, 15}, model);
   engine.set_batch_size(batch);
   std::vector<float> tr(set.samples());
   for (std::size_t i = 0; i < set.size(); ++i) {
@@ -205,8 +205,8 @@ TEST(Determinism, BatchedCpaInvariantToThreadsAndBatch) {
 }
 
 /// Golden cross-engine check: on raw simulator traces (exact multiples of
-/// the ADC quantum) the class-sum/WHT engine must reproduce the streaming
-/// reference bit-for-bit, under both leakage models.
+/// the ADC quantum) the class-sum/WHT engine must reproduce the scalar
+/// streaming oracle bit-for-bit, under both leakage models.
 TEST(Determinism, BatchedCpaMatchesStreamingOnQuantizedTraces) {
   ThreadCountGuard guard;
   par::set_thread_count(2);
@@ -215,8 +215,7 @@ TEST(Determinism, BatchedCpaMatchesStreamingOnQuantizedTraces) {
       test_factory(), 2'100, /*seed=*/21, /*shard_size=*/64);
   for (const auto model : {aes::LeakageModel::kLastRoundHd,
                            aes::LeakageModel::kFirstRoundHw}) {
-    analysis::CpaEngine streaming(set.samples(), {0, 7, 15}, model,
-                                  analysis::CpaMode::kStreaming);
+    analysis::CpaOracle streaming(set.samples(), {0, 7, 15}, model);
     for (std::size_t i = 0; i < set.size(); ++i)
       streaming.add(set.plaintext(i), set.ciphertext(i), set.trace(i));
     SCOPED_TRACE(model == aes::LeakageModel::kLastRoundHd ? "last-round"
@@ -250,8 +249,7 @@ struct CpaDigests {
 /// of its serialize() blob and of its report() bits.
 CpaDigests pinned_engine_digests(std::size_t samples, std::vector<int> bytes,
                                  aes::LeakageModel model, std::size_t n) {
-  analysis::CpaEngine engine(samples, std::move(bytes), model,
-                             analysis::CpaMode::kBatched);
+  analysis::CpaEngine engine(samples, std::move(bytes), model);
   Xoshiro256StarStar rng(0x5EED0020);
   std::vector<float> tr(samples);
   for (std::size_t i = 0; i < n; ++i) {

@@ -29,6 +29,7 @@
 #include "analysis/tvla.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "pbt/pbt.hpp"
 #include "rftc/device.hpp"
@@ -38,6 +39,7 @@
 #include "util/crc32.hpp"
 #include "util/stats.hpp"
 #include "util/wire.hpp"
+#include "cpa_oracle.hpp"
 #include "scratch.hpp"
 
 #ifndef RFTC_TESTS_WORKER_BIN
@@ -158,14 +160,13 @@ const Corpus& corpus() {
   return c;
 }
 
-CampaignSpec attack_spec(analysis::CpaMode mode) {
+CampaignSpec attack_spec() {
   const Corpus& c = corpus();
   CampaignSpec spec;
   spec.kind = CampaignKind::kAttack;
   spec.name = "golden-attack";
   spec.store = c.attack_store;
   spec.key_hex = key_to_hex(c.rk10);
-  spec.engine_mode = mode;
   spec.byte_positions = {0, 7};
   spec.checkpoints = {150, 400, c.n_attack};
   return spec;
@@ -228,7 +229,6 @@ TEST(DistProtocol, CampaignSpecRoundTrips) {
   spec.store = "/tmp/s.rtst";
   spec.key_hex = "000102030405060708090a0b0c0d0e0f";
   spec.leakage = aes::LeakageModel::kFirstRoundHw;
-  spec.engine_mode = analysis::CpaMode::kStreaming;
   spec.downsample = 2;
   spec.byte_positions = {0, 5, 15};
   spec.checkpoints = {100, 250};
@@ -239,7 +239,6 @@ TEST(DistProtocol, CampaignSpecRoundTrips) {
   EXPECT_EQ(back.store, spec.store);
   EXPECT_EQ(back.key_hex, spec.key_hex);
   EXPECT_EQ(back.leakage, spec.leakage);
-  EXPECT_EQ(back.engine_mode, spec.engine_mode);
   EXPECT_EQ(back.downsample, spec.downsample);
   EXPECT_EQ(back.byte_positions, spec.byte_positions);
   EXPECT_EQ(back.checkpoints, spec.checkpoints);
@@ -258,7 +257,7 @@ TEST(DistProtocol, CampaignSpecRoundTrips) {
 
 TEST(DistProtocol, TaskAndDoneRoundTrip) {
   ShardTask task;
-  task.spec = attack_spec(analysis::CpaMode::kBatched);
+  task.spec = attack_spec();
   task.shard = {3, 150, 300};
   task.acc_path = "/tmp/shard_0003.acc";
   task.done_path = "/tmp/shard_0003.done.json";
@@ -299,11 +298,84 @@ TEST(DistProtocol, MalformedInputsThrow) {
 
   // An empty shard range is never a valid work order.
   ShardTask task;
-  task.spec = attack_spec(analysis::CpaMode::kBatched);
+  task.spec = attack_spec();
   task.shard = {0, 5, 5};
   task.acc_path = "/tmp/a";
   task.done_path = "/tmp/d";
   EXPECT_THROW(task_from_json(task_to_json(task)), std::runtime_error);
+}
+
+/// `json` with the value after `"key":` (up to the next ',', '}' or the
+/// closing ']' of an array) replaced by `value`.
+std::string with_value(std::string json, const std::string& key,
+                       const std::string& value) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = json.find(tag);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no \"" << key << "\" in " << json;
+    return json;
+  }
+  const std::size_t from = at + tag.size();
+  const std::size_t to = json[from] == '['
+                             ? json.find(']', from) + 1
+                             : json.find_first_of(",}", from);
+  return json.replace(from, to - from, value);
+}
+
+TEST(DistProtocol, NumbersMustBeExactIntegersInRange) {
+  ShardDone done;
+  done.shard = {3, 150, 300};
+  done.acc_bytes = 12345;
+  done.acc_crc = 0xDEADBEEF;
+  const std::string good = done_to_json(done);
+  // Out of uint64 range, fractional, or wrapped through uint32: each was
+  // once read as some other number (1e300 as 0, 2.9 as 2, 2^32 + 1 as 1).
+  const std::pair<const char*, const char*> bad_done[] = {
+      {"t0", "1e300"},
+      {"t1", "1e301"},
+      {"t0", "0.5"},
+      {"t1", "2.9"},
+      {"acc_bytes", "18446744073709551616"},
+      {"acc_bytes", "1e400"},
+      {"shard", "-1"},
+      {"acc_crc32", "4294967297"},
+      {"acc_crc32", "4294967296"},
+      {"dist_schema", "1.7"},
+  };
+  for (const auto& [key, value] : bad_done)
+    EXPECT_THROW(done_from_json(with_value(good, key, value)),
+                 std::runtime_error)
+        << key << "=" << value;
+  // Exact integers in range still pass, whatever their spelling.
+  const ShardDone big = done_from_json(
+      with_value(with_value(good, "acc_crc32", "4294967295"), "acc_bytes",
+                 "9.007199254740992e15"));
+  EXPECT_EQ(big.acc_crc, 0xFFFFFFFFu);
+  EXPECT_EQ(big.acc_bytes, std::uint64_t{1} << 53);
+
+  ShardTask task;
+  task.spec = attack_spec();
+  task.shard = {0, 5, 50};
+  task.acc_path = "/tmp/a";
+  task.done_path = "/tmp/d";
+  const std::string task_json = task_to_json(task);
+  for (const auto& [key, value] :
+       {std::pair<const char*, const char*>{"shard", "1e300"},
+        {"t0", "0.5"},
+        {"downsample", "4.5"},
+        {"bytes", "[0,7.5]"},
+        {"bytes", "[16]"},
+        {"checkpoints", "[150,400.25]"},
+        {"checkpoints", "[1e20]"}})
+    EXPECT_THROW(task_from_json(with_value(task_json, key, value)),
+                 std::runtime_error)
+        << key << "=" << value;
+  const std::string campaign = campaign_to_json(task.spec);
+  EXPECT_THROW(campaign_from_json(with_value(campaign, "bytes", "[0.5]")),
+               std::runtime_error);
+  EXPECT_THROW(
+      campaign_from_json(with_value(campaign, "checkpoints", "[-150]")),
+      std::runtime_error);
 }
 
 TEST(DistProtocol, KeyHexCodec) {
@@ -394,12 +466,10 @@ TEST(DistPlanShards, RejectsDegenerateInputs) {
 // --------------------------------------------------------------------------
 // Accumulator snapshots (wire format)
 
-analysis::CpaEngine make_synthetic_engine(analysis::CpaMode mode,
-                                          std::size_t samples,
+analysis::CpaEngine make_synthetic_engine(std::size_t samples,
                                           std::size_t traces,
                                           std::vector<int> bytes = {0, 3}) {
-  analysis::CpaEngine engine(samples, std::move(bytes),
-                             aes::LeakageModel::kLastRoundHd, mode);
+  analysis::CpaEngine engine(samples, std::move(bytes));
   std::mt19937 rng(0xC0FFEE);
   for (std::size_t i = 0; i < traces; ++i) {
     aes::Block ct{};
@@ -416,26 +486,21 @@ analysis::CpaEngine make_synthetic_engine(analysis::CpaMode mode,
 }
 
 TEST(DistSerialize, CpaEngineRoundTripsBitExactly) {
-  for (const auto mode :
-       {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
-    const analysis::CpaEngine engine = make_synthetic_engine(mode, 24, 40);
-    const std::vector<unsigned char> blob = engine.serialize();
-    const analysis::CpaEngine back = analysis::CpaEngine::deserialize(blob);
-    EXPECT_EQ(back.count(), engine.count());
-    EXPECT_EQ(back.samples(), engine.samples());
-    EXPECT_EQ(back.byte_positions(), engine.byte_positions());
-    EXPECT_EQ(back.mode(), engine.mode());
-    EXPECT_EQ(back.serialize(), blob);
-  }
+  const analysis::CpaEngine engine = make_synthetic_engine(24, 40);
+  const std::vector<unsigned char> blob = engine.serialize();
+  const analysis::CpaEngine back = analysis::CpaEngine::deserialize(blob);
+  EXPECT_EQ(back.count(), engine.count());
+  EXPECT_EQ(back.samples(), engine.samples());
+  EXPECT_EQ(back.byte_positions(), engine.byte_positions());
+  EXPECT_EQ(back.serialize(), blob);
 }
 
 TEST(DistSerialize, SplitSerializeMergeMatchesSequential) {
-  const auto mode = analysis::CpaMode::kStreaming;
-  analysis::CpaEngine whole = make_synthetic_engine(mode, 24, 40);
+  analysis::CpaEngine whole = make_synthetic_engine(24, 40);
 
   // Same 40 traces split 0..20 / 20..40 across two engines.
-  analysis::CpaEngine a(24, {0, 3}, aes::LeakageModel::kLastRoundHd, mode);
-  analysis::CpaEngine b(24, {0, 3}, aes::LeakageModel::kLastRoundHd, mode);
+  analysis::CpaEngine a(24, {0, 3});
+  analysis::CpaEngine b(24, {0, 3});
   std::mt19937 rng(0xC0FFEE);
   for (std::size_t i = 0; i < 40; ++i) {
     aes::Block ct{};
@@ -452,7 +517,7 @@ TEST(DistSerialize, SplitSerializeMergeMatchesSequential) {
   EXPECT_EQ(ad.serialize(), whole.serialize());
 
   // Geometry mismatch still rejected after a deserialize round-trip.
-  const analysis::CpaEngine other = make_synthetic_engine(mode, 16, 4);
+  const analysis::CpaEngine other = make_synthetic_engine(16, 4);
   EXPECT_THROW(ad.merge(analysis::CpaEngine::deserialize(other.serialize())),
                std::invalid_argument);
 }
@@ -521,8 +586,7 @@ void expect_all_flip_regions(const std::vector<unsigned char>& blob) {
 TEST(DistSerialize, CpaEngineRejectsCorruptBlobs) {
   // Three byte positions: the odd count of u32 header fields leaves a
   // sub-16-byte tail past the fold.
-  const analysis::CpaEngine engine =
-      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 40, {0, 3, 7});
+  const analysis::CpaEngine engine = make_synthetic_engine(24, 40, {0, 3, 7});
   const std::vector<unsigned char> blob = engine.serialize();
   expect_all_flip_regions(blob);
 
@@ -545,13 +609,13 @@ TEST(DistSerialize, CpaEngineRejectsCorruptBlobs) {
                std::runtime_error);
 }
 
-/// A CRC-sealed batched last-round CPA blob whose header claims `samples`
-/// samples over all 16 bytes, followed by `payload` zero bytes.
+/// A CRC-sealed last-round CPA blob whose header claims `samples` samples
+/// over all 16 bytes, followed by `payload` zero bytes.
 std::vector<unsigned char> forged_cpa_blob(std::uint64_t samples,
                                            std::size_t payload) {
   std::vector<unsigned char> out;
   wire::put_magic(out, "RFTCCPA1");
-  wire::put_u32(out, 1);  // batched
+  wire::put_u32(out, 1);  // engine tag
   wire::put_u32(out, 0);  // last-round HD
   wire::put_u64(out, samples);
   wire::put_u64(out, 16);
@@ -622,16 +686,14 @@ TEST(DistSerialize, CpaForgedGeometryRejectedBeforeAllocating) {
 }
 
 /// Byte offsets at which a CPA blob's sections start, plus its size: magic,
-/// the two tags, samples, byte count, trace count, byte positions, every
-/// accumulator array and the CRC trailer.
+/// the engine and model tags, samples, byte count, trace count, byte
+/// positions, every accumulator array and the CRC trailer.
 std::vector<std::size_t> cpa_section_bounds(const analysis::CpaEngine& e,
                                             aes::LeakageModel model) {
   const std::size_t nb = e.byte_positions().size(), s = e.samples();
   std::vector<std::size_t> lens = {8, 4, 4, 8, 8, 8, 4 * nb,
                                    8 * s, 8 * s, 8 * 256 * nb, 8 * 256 * nb};
-  if (e.mode() == analysis::CpaMode::kStreaming) {
-    lens.push_back(8 * 256 * nb * s);
-  } else if (model == aes::LeakageModel::kLastRoundHd) {
+  if (model == aes::LeakageModel::kLastRoundHd) {
     lens.push_back(8 * nb * s);
     lens.push_back(8 * nb * 256 * 8 * s);
   } else {
@@ -693,49 +755,39 @@ std::optional<std::string> blob_contract(std::span<const unsigned char> cand,
 }
 
 TEST(DistSerialize, CpaMergeBlobMatchesEngineMerge) {
-  for (const auto mode :
-       {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
-    // Two halves of one trace stream: merging the second half's blob into
-    // the first is bit-identical to the engine merge and to one engine fed
-    // everything (dyadic samples keep every sum exact).
-    const analysis::CpaEngine whole = make_synthetic_engine(mode, 24, 40);
-    analysis::CpaEngine a(24, {0, 3}, aes::LeakageModel::kLastRoundHd, mode);
-    analysis::CpaEngine b(24, {0, 3}, aes::LeakageModel::kLastRoundHd, mode);
-    std::mt19937 rng(0xC0FFEE);
-    for (std::size_t i = 0; i < 40; ++i) {
-      aes::Block ct{};
-      for (auto& bb : ct) bb = static_cast<std::uint8_t>(rng() & 0xFF);
-      std::vector<float> tr(24);
-      for (auto& v : tr)
-        v = static_cast<float>(static_cast<int>(rng() % 256) - 128) *
-            0.0078125f;
-      (i < 20 ? a : b).add(ct, tr);
-    }
-    analysis::CpaEngine by_engine = a;
-    by_engine.merge(b);
-    a.merge(b.serialize());  // a's tile is still unflushed here
-    EXPECT_EQ(a.count(), 40u);
-    EXPECT_EQ(a.serialize(), by_engine.serialize());
-    EXPECT_EQ(a.serialize(), whole.serialize());
+  // Two halves of one trace stream: merging the second half's blob into
+  // the first is bit-identical to the engine merge and to one engine fed
+  // everything (dyadic samples keep every sum exact).
+  const analysis::CpaEngine whole = make_synthetic_engine(24, 40);
+  analysis::CpaEngine a(24, {0, 3});
+  analysis::CpaEngine b(24, {0, 3});
+  std::mt19937 rng(0xC0FFEE);
+  for (std::size_t i = 0; i < 40; ++i) {
+    aes::Block ct{};
+    for (auto& bb : ct) bb = static_cast<std::uint8_t>(rng() & 0xFF);
+    std::vector<float> tr(24);
+    for (auto& v : tr)
+      v = static_cast<float>(static_cast<int>(rng() % 256) - 128) *
+          0.0078125f;
+    (i < 20 ? a : b).add(ct, tr);
   }
+  analysis::CpaEngine by_engine = a;
+  by_engine.merge(b);
+  a.merge(b.serialize());  // a's tile is still unflushed here
+  EXPECT_EQ(a.count(), 40u);
+  EXPECT_EQ(a.serialize(), by_engine.serialize());
+  EXPECT_EQ(a.serialize(), whole.serialize());
 }
 
 TEST(DistSerialize, CpaMergeBlobRejectsOtherGeometryUntouched) {
-  const analysis::CpaEngine target =
-      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 40, {0, 3, 7});
+  const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
   analysis::CpaEngine first_round(24, {0, 3, 7},
-                                  aes::LeakageModel::kFirstRoundHw,
-                                  analysis::CpaMode::kBatched);
+                                  aes::LeakageModel::kFirstRoundHw);
   const std::vector<std::vector<unsigned char>> others = {
-      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 8, {0, 3, 8})
-          .serialize(),                                   // other byte set
-      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 8, {0, 3})
-          .serialize(),                                   // fewer bytes
-      first_round.serialize(),                            // other model
-      make_synthetic_engine(analysis::CpaMode::kBatched, 23, 8, {0, 3, 7})
-          .serialize(),                                   // other samples
-      make_synthetic_engine(analysis::CpaMode::kStreaming, 24, 8, {0, 3, 7})
-          .serialize(),                                   // other engine
+      make_synthetic_engine(24, 8, {0, 3, 8}).serialize(),  // other byte set
+      make_synthetic_engine(24, 8, {0, 3}).serialize(),     // fewer bytes
+      first_round.serialize(),                              // other model
+      make_synthetic_engine(23, 8, {0, 3, 7}).serialize(),  // other samples
   };
   const std::vector<unsigned char> before = target.serialize();
   for (std::size_t i = 0; i < others.size(); ++i) {
@@ -747,29 +799,47 @@ TEST(DistSerialize, CpaMergeBlobRejectsOtherGeometryUntouched) {
 }
 
 TEST(DistSerialize, CpaBlobTruncatedAtEverySectionBoundary) {
-  for (const auto mode :
-       {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
-    const analysis::CpaEngine target =
-        make_synthetic_engine(mode, 24, 40, {0, 3, 7});
-    const std::vector<unsigned char> blob =
-        make_synthetic_engine(mode, 24, 16, {0, 3, 7}).serialize();
-    const std::vector<std::size_t> bounds =
-        cpa_section_bounds(target, aes::LeakageModel::kLastRoundHd);
-    ASSERT_EQ(bounds.back(), blob.size());
-    for (const std::size_t cut : bounds) {
-      for (const std::size_t len : {cut, cut > 0 ? cut - 1 : 0, cut + 1}) {
-        if (len >= blob.size()) continue;
-        const std::vector<unsigned char> prefix(blob.begin(),
-                                                blob.begin() + len);
-        for (const auto& cand : {prefix, resealed(prefix)}) {
-          const std::optional<std::string> bad = blob_contract(cand, target);
-          EXPECT_FALSE(bad) << *bad << " (length " << len << ")";
-          // A truncated snapshot is never a valid one.
-          analysis::CpaEngine t = target;
-          EXPECT_ANY_THROW(t.merge(cand)) << "length " << cand.size();
-        }
+  const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
+  const std::vector<unsigned char> blob =
+      make_synthetic_engine(24, 16, {0, 3, 7}).serialize();
+  const std::vector<std::size_t> bounds =
+      cpa_section_bounds(target, aes::LeakageModel::kLastRoundHd);
+  ASSERT_EQ(bounds.back(), blob.size());
+  for (const std::size_t cut : bounds) {
+    for (const std::size_t len : {cut, cut > 0 ? cut - 1 : 0, cut + 1}) {
+      if (len >= blob.size()) continue;
+      const std::vector<unsigned char> prefix(blob.begin(),
+                                              blob.begin() + len);
+      for (const auto& cand : {prefix, resealed(prefix)}) {
+        const std::optional<std::string> bad = blob_contract(cand, target);
+        EXPECT_FALSE(bad) << *bad << " (length " << len << ")";
+        // A truncated snapshot is never a valid one.
+        analysis::CpaEngine t = target;
+        EXPECT_ANY_THROW(t.merge(cand)) << "length " << cand.size();
       }
     }
+  }
+}
+
+TEST(DistSerialize, CpaBlobWithAStaleEngineTagIsRejectedUntouched) {
+  // Tag 0 marked a snapshot of the per-guess streaming engine older builds
+  // shipped; 2 was never written.  Resealed, so only the tag is wrong —
+  // the payload even has this geometry's exact size.
+  const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
+  const std::vector<unsigned char> before = target.serialize();
+  for (const std::uint32_t tag : {0u, 2u}) {
+    std::vector<unsigned char> blob =
+        make_synthetic_engine(24, 16, {0, 3, 7}).serialize();
+    std::vector<unsigned char> stale;
+    wire::put_u32(stale, tag);
+    std::copy(stale.begin(), stale.end(), blob.begin() + 8);  // after magic
+    blob = resealed(std::move(blob));
+    EXPECT_THROW((void)analysis::CpaEngine::deserialize(blob),
+                 std::runtime_error)
+        << "tag " << tag;
+    analysis::CpaEngine t = target;
+    EXPECT_THROW(t.merge(blob), std::runtime_error) << "tag " << tag;
+    EXPECT_EQ(t.serialize(), before) << "tag " << tag;
   }
 }
 
@@ -821,11 +891,9 @@ std::string describe_mutation(const BlobMutation& m) {
 }
 
 TEST(DistSerialize, CpaBlobRandomMutationsKeepTheParserContract) {
-  const analysis::CpaEngine target =
-      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 40, {0, 3, 7});
+  const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
   const std::vector<unsigned char> blob =
-      make_synthetic_engine(analysis::CpaMode::kBatched, 24, 16, {0, 3, 7})
-          .serialize();
+      make_synthetic_engine(24, 16, {0, 3, 7}).serialize();
   // Header: everything before the first accumulator array.
   const std::size_t header =
       cpa_section_bounds(target, aes::LeakageModel::kLastRoundHd)[7];
@@ -940,13 +1008,105 @@ TEST(DistSerialize, WelchBlobRandomMutationsKeepTheParserContract) {
       describe_mutation));
 }
 
+/// Whether two parsed JSON documents hold the same values, members in
+/// order.
+bool same_json(const obs::json::Value& a, const obs::json::Value& b) {
+  if (a.kind != b.kind || a.boolean != b.boolean || a.num != b.num ||
+      a.str != b.str || a.array.size() != b.array.size() ||
+      a.object.size() != b.object.size())
+    return false;
+  for (std::size_t i = 0; i < a.array.size(); ++i)
+    if (!same_json(a.array[i], b.array[i])) return false;
+  for (std::size_t i = 0; i < a.object.size(); ++i)
+    if (a.object[i].first != b.object[i].first ||
+        !same_json(a.object[i].second, b.object[i].second))
+      return false;
+  return true;
+}
+
+/// The protocol-file parser contract for a candidate text: `parse` throws
+/// std::runtime_error, or what it accepted prints as text that parses back
+/// to the same bytes and holds the same JSON values as the candidate — so
+/// the parse dropped, truncated or wrapped nothing.
+template <class T>
+std::optional<std::string> json_contract(
+    std::string_view cand, T (*parse)(std::string_view),
+    std::string (*print)(const T&)) {
+  std::string text;
+  try {
+    text = print(parse(cand));
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  } catch (const std::exception& e) {
+    return std::string("threw an untyped error: ") + e.what();
+  }
+  try {
+    if (print(parse(text)) != text)
+      return "accepted value does not round-trip: " + text;
+  } catch (const std::exception& e) {
+    return std::string("printed text is rejected: ") + e.what();
+  }
+  if (!same_json(obs::json::parse(cand), obs::json::parse(text)))
+    return "accepted text and its round-trip hold different values: " + text;
+  return std::nullopt;
+}
+
+/// Random byte mutations of a valid protocol file keep the parser
+/// contract: typed throw or byte-exact round-trip.
+template <class T>
+bool json_mutations_keep_the_contract(const std::string& name,
+                                      std::uint64_t seed,
+                                      const std::string& valid,
+                                      T (*parse)(std::string_view),
+                                      std::string (*print)(const T&)) {
+  const std::vector<unsigned char> bytes(valid.begin(), valid.end());
+  return pbt::check<BlobMutation>(
+      name,
+      [&](pbt::Rng& rng) {
+        return random_mutation(rng, bytes.size(), bytes.size());
+      },
+      [&](const BlobMutation& m) {
+        const std::vector<unsigned char> cand = mutated(bytes, m);
+        return json_contract(
+            std::string_view(reinterpret_cast<const char*>(cand.data()),
+                             cand.size()),
+            parse, print);
+      },
+      pbt::Config::from_env(seed, 10'000), shrink_mutation,
+      describe_mutation);
+}
+
+TEST(DistProtocol, ParsersThrowOrRoundTripUnderRandomMutations) {
+  ShardTask task;
+  task.spec = attack_spec();
+  task.shard = {2, 150, 400};
+  task.acc_path = "/tmp/shard_0002.acc";
+  task.done_path = "/tmp/shard_0002.done.json";
+  ShardDone done;
+  done.shard = task.shard;
+  done.acc_bytes = 2'098'712;
+  done.acc_crc = 0x9E3779B9;
+  EXPECT_TRUE(json_mutations_keep_the_contract<CampaignSpec>(
+      "campaign_json_mutation", 0xCA3B0001, campaign_to_json(task.spec),
+      campaign_from_json, campaign_to_json));
+  EXPECT_TRUE(json_mutations_keep_the_contract<CampaignSpec>(
+      "tvla_campaign_json_mutation", 0xCA3B0002, campaign_to_json(tvla_spec()),
+      campaign_from_json, campaign_to_json));
+  EXPECT_TRUE(json_mutations_keep_the_contract<ShardTask>(
+      "task_json_mutation", 0xCA3B0003, task_to_json(task), task_from_json,
+      task_to_json));
+  EXPECT_TRUE(json_mutations_keep_the_contract<ShardDone>(
+      "done_json_mutation", 0xCA3B0004, done_to_json(done), done_from_json,
+      done_to_json));
+}
+
 // --------------------------------------------------------------------------
 // Worker + shard manifests (in-process)
 
 TEST(DistWorker, TaskProducesDurableShardAndIsIdempotent) {
   const std::string dir = temp_dir("worker_inproc");
   ShardTask task;
-  task.spec = attack_spec(analysis::CpaMode::kBatched);
+  task.spec = attack_spec();
   task.shard = {0, 0, 50};
   task.acc_path = dir + "/shard_0000.acc";
   task.done_path = dir + "/shard_0000.done.json";
@@ -975,7 +1135,7 @@ TEST(DistWorker, TaskProducesDurableShardAndIsIdempotent) {
 TEST(DistWorker, ShardCompleteRejectsTamperedOrMismatchedManifests) {
   const std::string dir = temp_dir("worker_manifest");
   ShardTask task;
-  task.spec = attack_spec(analysis::CpaMode::kBatched);
+  task.spec = attack_spec();
   task.shard = {2, 10, 40};
   task.acc_path = dir + "/shard_0002.acc";
   task.done_path = dir + "/shard_0002.done.json";
@@ -1016,7 +1176,7 @@ TEST(DistWorker, ShardCompleteRejectsTamperedOrMismatchedManifests) {
 // Coordinator option validation
 
 TEST(DistCoordinator, RejectsBadOptions) {
-  const CampaignSpec spec = attack_spec(analysis::CpaMode::kBatched);
+  const CampaignSpec spec = attack_spec();
   CoordinatorOptions o = options_for(temp_dir("bad_options"), 2);
   o.workers = 0;
   EXPECT_THROW(run_campaign(spec, o), std::invalid_argument);
@@ -1038,27 +1198,36 @@ TEST(DistCoordinator, WorkerBinaryEnvOverride) {
 
 TEST(DistCampaign, AttackMatchesSingleProcessAcrossWorkersAndEngines) {
   const Corpus& c = corpus();
-  for (const auto mode :
-       {analysis::CpaMode::kBatched, analysis::CpaMode::kStreaming}) {
-    const CampaignSpec spec = attack_spec(mode);
-    const trace::TraceStore store(c.attack_store);
-    const analysis::AttackOutcome baseline =
-        analysis::run_attack(store, spec.key(), spec.attack_params());
-    ASSERT_EQ(baseline.checkpoints,
-              (std::vector<std::size_t>{150, 400, c.n_attack}));
-    for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{4}}) {
-      const std::string dir = temp_dir(
-          "attack_w" + std::to_string(workers) +
-          (mode == analysis::CpaMode::kBatched ? "_batched" : "_streaming"));
-      const CampaignResult result =
-          run_campaign(spec, options_for(dir, workers));
-      EXPECT_GE(result.shards_total, workers);
-      EXPECT_EQ(result.shards_reused, 0u);
-      EXPECT_EQ(result.worker_restarts, 0u);
-      expect_attack_identical(result.attack, baseline);
-      fs::remove_all(dir);
+  const CampaignSpec spec = attack_spec();
+  const trace::TraceStore store(c.attack_store);
+  const analysis::AttackOutcome baseline =
+      analysis::run_attack(store, spec.key(), spec.attack_params());
+  ASSERT_EQ(baseline.checkpoints,
+            (std::vector<std::size_t>{150, 400, c.n_attack}));
+  // The single-process engine itself matches the scalar oracle over the
+  // same traces.
+  trace::TraceSet set(store.samples());
+  store.for_range(0, store.size(), [&](const auto& seg, std::size_t k0,
+                                       std::size_t k1) {
+    for (std::size_t k = k0; k < k1; ++k) {
+      const auto tr = seg.trace(k);
+      set.add(std::vector<float>(tr.begin(), tr.end()), seg.plaintext(k),
+              seg.ciphertext(k));
     }
+  });
+  expect_attack_identical(
+      analysis::oracle_attack(set, spec.key(), spec.attack_params()),
+      baseline);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    const std::string dir = temp_dir("attack_w" + std::to_string(workers));
+    const CampaignResult result =
+        run_campaign(spec, options_for(dir, workers));
+    EXPECT_GE(result.shards_total, workers);
+    EXPECT_EQ(result.shards_reused, 0u);
+    EXPECT_EQ(result.worker_restarts, 0u);
+    expect_attack_identical(result.attack, baseline);
+    fs::remove_all(dir);
   }
 }
 
@@ -1082,7 +1251,7 @@ TEST(DistCampaign, TvlaMatchesSingleProcessWithUnequalPopulations) {
 }
 
 TEST(DistCampaign, RerunReusesEveryCompletedShard) {
-  const CampaignSpec spec = attack_spec(analysis::CpaMode::kBatched);
+  const CampaignSpec spec = attack_spec();
   const std::string dir = temp_dir("rerun_reuse");
   const CampaignResult first = run_campaign(spec, options_for(dir, 2));
   const CampaignResult second = run_campaign(spec, options_for(dir, 2));
@@ -1093,7 +1262,7 @@ TEST(DistCampaign, RerunReusesEveryCompletedShard) {
 }
 
 TEST(DistCampaign, RejectsDirectoryOfDifferentCampaign) {
-  const CampaignSpec spec = attack_spec(analysis::CpaMode::kBatched);
+  const CampaignSpec spec = attack_spec();
   const std::string dir = temp_dir("foreign_dir");
   (void)run_campaign(spec, options_for(dir, 1));
   CampaignSpec other = spec;
@@ -1108,7 +1277,7 @@ TEST(DistCampaign, RejectsDirectoryOfDifferentCampaign) {
 
 TEST(DistCampaign, KilledWorkerWithNoRetriesLeavesResumableDirectory) {
   const Corpus& c = corpus();
-  const CampaignSpec spec = attack_spec(analysis::CpaMode::kBatched);
+  const CampaignSpec spec = attack_spec();
   const trace::TraceStore store(c.attack_store);
   const analysis::AttackOutcome baseline =
       analysis::run_attack(store, spec.key(), spec.attack_params());
@@ -1138,7 +1307,7 @@ TEST(DistCampaign, KilledWorkerWithNoRetriesLeavesResumableDirectory) {
 
 TEST(DistCampaign, KilledWorkerIsRetriedInPlace) {
   const Corpus& c = corpus();
-  const CampaignSpec spec = attack_spec(analysis::CpaMode::kStreaming);
+  const CampaignSpec spec = attack_spec();
   const trace::TraceStore store(c.attack_store);
   const analysis::AttackOutcome baseline =
       analysis::run_attack(store, spec.key(), spec.attack_params());
@@ -1179,7 +1348,7 @@ TEST(DistCampaign, KilledTvlaWorkerResumesBitIdentically) {
 }
 
 TEST(DistCampaign, ShardsFoldedCounterCountsEveryShard) {
-  const CampaignSpec spec = attack_spec(analysis::CpaMode::kBatched);
+  const CampaignSpec spec = attack_spec();
   const std::string dir = temp_dir("folded_counter");
   const obs::Counter& folded =
       obs::Registry::global().counter("dist.shards_folded");
@@ -1191,7 +1360,7 @@ TEST(DistCampaign, ShardsFoldedCounterCountsEveryShard) {
 
 TEST(DistCampaign, FoldFailureKillsAndReapsEveryWorker) {
   const Corpus& c = corpus();
-  const CampaignSpec spec = attack_spec(analysis::CpaMode::kBatched);
+  const CampaignSpec spec = attack_spec();
   const trace::TraceStore store(c.attack_store);
   const analysis::AttackOutcome baseline =
       analysis::run_attack(store, spec.key(), spec.attack_params());

@@ -7,7 +7,6 @@
 #include <limits>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace rftc::analysis {
@@ -136,93 +135,6 @@ TEST(DtwDistance, SymmetricUnderSwappedInputs) {
   }
 }
 
-TEST(DtwDistance, PrunedMatchesNaiveWhenCutoffNotHit) {
-  // With max_distance at or above the true distance no abandon may trigger,
-  // and cell pruning must not change the result: exact equality with the
-  // full-matrix reference, same discipline as MatchesNaiveReferenceDp.
-  Xoshiro256StarStar rng(4242);
-  for (int iter = 0; iter < 200; ++iter) {
-    const std::size_t n = 1 + rng.uniform(40);
-    const std::size_t m = 1 + rng.uniform(40);
-    std::vector<double> a(n), b(m);
-    for (auto& v : a) v = rng.gaussian();
-    for (auto& v : b) v = rng.gaussian();
-    for (const std::size_t band : {std::size_t{0}, std::size_t{3},
-                                   std::size_t{8}}) {
-      const double want = naive_dtw(a, b, band);
-      EXPECT_DOUBLE_EQ(
-          dtw_distance(a, b, {.band = band, .max_distance = want}), want)
-          << "exact cutoff, n=" << n << " m=" << m << " band=" << band;
-      EXPECT_DOUBLE_EQ(
-          dtw_distance(a, b, {.band = band, .max_distance = want * 4 + 1}),
-          want)
-          << "loose cutoff, n=" << n << " m=" << m << " band=" << band;
-    }
-  }
-}
-
-TEST(DtwDistance, CutoffBelowTrueDistanceReturnsAbandonedSentinel) {
-  Xoshiro256StarStar rng(99);
-  int abandoned = 0;
-  for (int iter = 0; iter < 100; ++iter) {
-    const std::size_t n = 2 + rng.uniform(30);
-    const std::size_t m = 2 + rng.uniform(30);
-    std::vector<double> a(n), b(m);
-    for (auto& v : a) v = rng.gaussian();
-    for (auto& v : b) v = rng.gaussian();
-    const double want = naive_dtw(a, b, 4);
-    if (want <= 0.0) continue;
-    // Any cutoff strictly below the true distance must yield the sentinel,
-    // whether the call dies at the lower bound, mid-sweep, or only at the
-    // final cell.
-    for (const double frac : {0.9, 0.5, 0.01}) {
-      const double got =
-          dtw_distance(a, b, {.band = 4, .max_distance = want * frac});
-      EXPECT_EQ(got, kDtwAbandoned) << "n=" << n << " m=" << m
-                                    << " frac=" << frac;
-      ++abandoned;
-    }
-  }
-  EXPECT_GT(abandoned, 0);
-}
-
-TEST(DtwDistance, AbandonedSentinelIsInfinity) {
-  // Documented contract: the sentinel compares greater than any real
-  // distance so best-so-far search loops need no special casing.
-  EXPECT_TRUE(std::isinf(kDtwAbandoned));
-  EXPECT_GT(kDtwAbandoned, 1e300);
-}
-
-TEST(DtwDistance, PruneCountersAdvance) {
-  obs::Counter& lb = obs::Registry::global().counter(
-      "analysis.dtw.lb_kim_rejects");
-  obs::Counter& ea = obs::Registry::global().counter(
-      "analysis.dtw.early_abandons");
-  const std::uint64_t lb0 = lb.value(), ea0 = ea.value();
-
-  // Wildly offset constant series: LB_Kim (min/max gap) kills this one
-  // without touching the DP.
-  const std::vector<double> lo(32, 0.0), hi(32, 100.0);
-  EXPECT_EQ(dtw_distance(lo, hi, {.max_distance = 1.0}), kDtwAbandoned);
-  EXPECT_GT(lb.value(), lb0);
-  const std::uint64_t lb1 = lb.value();
-
-  // b is a with its interior reversed: endpoints and extrema all match, so
-  // LB_Kim is 0 and the cutoff must be enforced by the row sweep itself.
-  Xoshiro256StarStar rng(7);
-  std::vector<double> a(32);
-  a.front() = a.back() = 0.0;
-  for (std::size_t i = 1; i + 1 < a.size(); ++i) a[i] = rng.gaussian() * 10.0;
-  std::vector<double> b = a;
-  std::reverse(b.begin() + 1, b.end() - 1);
-  const double full = dtw_distance(a, b, {.band = 4});
-  ASSERT_GT(full, 1.0);
-  EXPECT_EQ(dtw_distance(a, b, {.band = 4, .max_distance = full * 0.1}),
-            kDtwAbandoned);
-  EXPECT_GT(ea.value(), ea0);
-  EXPECT_EQ(lb.value(), lb1) << "must not have been a lower-bound reject";
-}
-
 TEST(DtwDistance, WorkspaceReuseAcrossShapesStaysExact) {
   // The rolling rows are per-thread and reused; interleaving calls of very
   // different shapes (long after short, wide band after narrow) must never
@@ -238,9 +150,6 @@ TEST(DtwDistance, WorkspaceReuseAcrossShapesStaysExact) {
   for (int round = 0; round < 3; ++round) {
     EXPECT_DOUBLE_EQ(dtw_distance(big_a, big_b, {.band = 12}), want_big);
     EXPECT_DOUBLE_EQ(dtw_distance(small_a, small_b, {.band = 2}), want_small);
-    EXPECT_DOUBLE_EQ(
-        dtw_distance(big_a, big_b, {.band = 12, .max_distance = want_big}),
-        want_big);
   }
 }
 
@@ -263,17 +172,6 @@ TEST(DtwAlign, AlignIntoMatchesAlignAndReusesBuffer) {
         EXPECT_EQ(out[i], fresh[i]) << "i=" << i << " slope=" << slope;
     }
   }
-}
-
-TEST(DtwAlign, IgnoresMaxDistance) {
-  // dtw_align must always produce a complete warp even when the params
-  // carry a cutoff that would abandon the equivalent dtw_distance call.
-  std::vector<double> ref(32, 0.0);
-  std::vector<float> tr(32, 50.0f);
-  const DtwParams p{.band = 8, .max_distance = 1e-3};
-  const auto out = dtw_align(ref, tr, p);
-  ASSERT_EQ(out.size(), 32u);
-  for (const float v : out) EXPECT_EQ(v, 50.0f);
 }
 
 TEST(DtwAlign, AlignedOutputHasReferenceLength) {

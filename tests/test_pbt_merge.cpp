@@ -5,10 +5,11 @@
 //   (a) associative bit-exactly:  (a·b)·c == a·(b·c), and
 //   (b) bit-identical to one accumulator fed every trace in order,
 //
-// across both CPA engines, a thread-count sweep, and adversarial batch
-// sizes.  Both hold because every accumulator is raw sums and ADC-quantized
-// traces make those sums exact — so elementwise addition commutes with
-// concatenation.  Geometry mismatches must be rejected loudly.
+// across a thread-count sweep and adversarial batch sizes, and the merged
+// CPA report equals the scalar oracle's (cpa_oracle.hpp).  All of it holds
+// because every accumulator is raw sums and ADC-quantized traces make those
+// sums exact — so elementwise addition commutes with concatenation.
+// Geometry mismatches must be rejected loudly.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -23,12 +24,12 @@
 #include "pbt/pbt.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
+#include "cpa_oracle.hpp"
 
 namespace rftc {
 namespace {
 
 using analysis::CpaEngine;
-using analysis::CpaMode;
 using pbt::Config;
 using pbt::Rng;
 
@@ -47,8 +48,8 @@ struct MergeCase {
   /// Contiguous shard sizes summing to batch.size(); at least three parts so
   /// the two association orders (a·b)·c and a·(b·c) are genuinely distinct.
   std::vector<std::size_t> shards;
-  /// Tile size forced onto the shard engines (batched mode) — deliberately
-  /// small and misaligned with shard boundaries.
+  /// Tile size forced onto the shard engines — deliberately small and
+  /// misaligned with shard boundaries.
   std::size_t batch_size = 1;
 };
 
@@ -107,8 +108,8 @@ std::optional<std::string> diff_reports(
 }
 
 CpaEngine cpa_over(const pbt::gen::TraceBatch& batch, std::size_t first,
-                   std::size_t count, CpaMode mode, std::size_t batch_size) {
-  CpaEngine e(batch.samples, {0, 5}, aes::LeakageModel::kLastRoundHd, mode);
+                   std::size_t count, std::size_t batch_size) {
+  CpaEngine e(batch.samples, {0, 5});
   e.set_batch_size(batch_size);
   for (std::size_t i = first; i < first + count; ++i)
     e.add(batch.ct[i], batch.traces[i]);
@@ -117,75 +118,65 @@ CpaEngine cpa_over(const pbt::gen::TraceBatch& batch, std::size_t first,
 
 TEST(PbtMerge, CpaMergeIsAssociativeAndMatchesSinglePass) {
   const Config cfg = Config::from_env(0x4E46E1, 40);
-  for (const CpaMode mode : {CpaMode::kStreaming, CpaMode::kBatched}) {
-    for (const std::size_t threads : kThreadSweep) {
-      ThreadCountGuard guard;
-      par::set_thread_count(threads);
-      SCOPED_TRACE(::testing::Message()
-                   << "mode=" << (mode == CpaMode::kStreaming ? "streaming"
-                                                              : "batched")
-                   << " threads=" << threads);
-      const bool ok = pbt::check<MergeCase>(
-          "cpa_merge_associative", gen_merge_case,
-          [&](const MergeCase& c) -> std::optional<std::string> {
-            // Per-shard engines over the contiguous split.
-            std::vector<CpaEngine> parts;
-            std::size_t first = 0;
-            for (const std::size_t n : c.shards) {
-              parts.push_back(cpa_over(c.batch, first, n, mode, c.batch_size));
-              first += n;
-            }
-            // Fold left: ((a·b)·c)·...
-            CpaEngine left = parts.front();
-            for (std::size_t i = 1; i < parts.size(); ++i)
-              left.merge(parts[i]);
-            // Fold right: a·(b·(c·...))
-            CpaEngine right = parts.back();
-            for (std::size_t i = parts.size() - 1; i-- > 0;) {
-              CpaEngine tmp = parts[i];
-              tmp.merge(right);
-              right = std::move(tmp);
-            }
-            // Single pass, default tile size (merge must also erase any
-            // batch-size dependence).
-            CpaEngine single(c.batch.samples, {0, 5},
-                             aes::LeakageModel::kLastRoundHd, mode);
-            for (std::size_t i = 0; i < c.batch.size(); ++i)
-              single.add(c.batch.ct[i], c.batch.traces[i]);
+  for (const std::size_t threads : kThreadSweep) {
+    ThreadCountGuard guard;
+    par::set_thread_count(threads);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const bool ok = pbt::check<MergeCase>(
+        "cpa_merge_associative", gen_merge_case,
+        [&](const MergeCase& c) -> std::optional<std::string> {
+          // Per-shard engines over the contiguous split.
+          std::vector<CpaEngine> parts;
+          std::size_t first = 0;
+          for (const std::size_t n : c.shards) {
+            parts.push_back(cpa_over(c.batch, first, n, c.batch_size));
+            first += n;
+          }
+          // Fold left: ((a·b)·c)·...
+          CpaEngine left = parts.front();
+          for (std::size_t i = 1; i < parts.size(); ++i)
+            left.merge(parts[i]);
+          // Fold right: a·(b·(c·...))
+          CpaEngine right = parts.back();
+          for (std::size_t i = parts.size() - 1; i-- > 0;) {
+            CpaEngine tmp = parts[i];
+            tmp.merge(right);
+            right = std::move(tmp);
+          }
+          // Single pass, default tile size (merge must also erase any
+          // batch-size dependence), and the scalar oracle.
+          CpaEngine single(c.batch.samples, {0, 5});
+          analysis::CpaOracle oracle(c.batch.samples, {0, 5});
+          for (std::size_t i = 0; i < c.batch.size(); ++i) {
+            single.add(c.batch.ct[i], c.batch.traces[i]);
+            oracle.add(c.batch.ct[i], c.batch.traces[i]);
+          }
 
-            if (left.count() != c.batch.size() ||
-                right.count() != c.batch.size())
-              return "merged trace count wrong";
-            const auto single_report = single.report();
-            if (auto d = diff_reports(left.report(), right.report(),
-                                      "(a.b).c vs a.(b.c)"))
-              return d;
-            if (auto d = diff_reports(left.report(), single_report,
-                                      "merged vs single-pass"))
-              return d;
-            return std::nullopt;
-          },
-          cfg, shrink_merge_case, show_merge_case);
-      EXPECT_TRUE(ok);
-    }
+          if (left.count() != c.batch.size() ||
+              right.count() != c.batch.size())
+            return "merged trace count wrong";
+          const auto left_report = left.report();
+          if (auto d = diff_reports(left_report, right.report(),
+                                    "(a.b).c vs a.(b.c)"))
+            return d;
+          if (auto d = diff_reports(left_report, single.report(),
+                                    "merged vs single-pass"))
+            return d;
+          if (auto d = diff_reports(left_report, oracle.report(),
+                                    "merged vs oracle"))
+            return d;
+          return std::nullopt;
+        },
+        cfg, shrink_merge_case, show_merge_case);
+    EXPECT_TRUE(ok);
   }
 }
 
 TEST(PbtMerge, CpaMergeRejectsGeometryMismatch) {
-  const auto make = [](std::size_t samples, std::vector<int> bytes,
-                       CpaMode mode) {
-    return CpaEngine(samples, std::move(bytes),
-                     aes::LeakageModel::kLastRoundHd, mode);
-  };
-  CpaEngine base = make(32, {0, 5}, CpaMode::kBatched);
-  EXPECT_THROW(base.merge(make(33, {0, 5}, CpaMode::kBatched)),
-               std::invalid_argument);
-  EXPECT_THROW(base.merge(make(32, {0, 7}, CpaMode::kBatched)),
-               std::invalid_argument);
-  EXPECT_THROW(base.merge(make(32, {0, 5}, CpaMode::kStreaming)),
-               std::invalid_argument);
-  CpaEngine first_round(32, {0, 5}, aes::LeakageModel::kFirstRoundHw,
-                        CpaMode::kBatched);
+  CpaEngine base(32, {0, 5});
+  EXPECT_THROW(base.merge(CpaEngine(33, {0, 5})), std::invalid_argument);
+  EXPECT_THROW(base.merge(CpaEngine(32, {0, 7})), std::invalid_argument);
+  CpaEngine first_round(32, {0, 5}, aes::LeakageModel::kFirstRoundHw);
   EXPECT_THROW(base.merge(first_round), std::invalid_argument);
 }
 

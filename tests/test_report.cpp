@@ -43,7 +43,6 @@ RunManifest sample_manifest() {
   Provenance prov;
   prov.git_sha = "abc123";
   prov.build_type = "Release";
-  prov.cpa_mode = "batched";
   prov.threads = 4;
   prov.batch = 64;
   prov.seed = 0xDEADBEEFDEADBEEFULL;  // needs full 64-bit round-trip

@@ -1,6 +1,6 @@
 // rftc::simd backend equivalence: the scalar fallback and the AVX2 kernels
 // must be bit-identical on every input (simd.hpp's contract), and the
-// analysis accumulators built on them (CPA engines, WelchTTest) must
+// analysis accumulators built on them (CpaEngine, WelchTTest) must
 // produce bit-identical results for any RFTC_THREADS x RFTC_SIMD combo and
 // merge associatively across batch boundaries.
 #include "simd/simd.hpp"
@@ -20,6 +20,7 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "cpa_oracle.hpp"
 
 namespace rftc {
 namespace {
@@ -133,21 +134,16 @@ TEST(SimdKernels, AllKernelsBitIdenticalAcrossBackends) {
                               std::size_t{256}, std::size_t{1001}}) {
     const KernelInputs in = make_inputs(n, 1000 + n);
     struct Out {
-      std::vector<double> d1, d2, d3, d4;
+      std::vector<double> d1, d2, d3;
       std::vector<std::uint8_t> b1;
-      std::vector<std::int64_t> i1, i2;
-      double scalar1 = 0.0, scalar2 = 0.0;
+      double peak = 0.0;
     };
     auto run = [&] {
       Out o;
       o.d1.assign(n, 0.25);
       o.d2.assign(n, -0.5);
       o.d3.assign(n, 1.5);
-      o.d4.assign(n, 0.0);
       o.b1.assign(n, 0);
-      o.i1.assign(n, 3);
-      o.i2.assign(n, 5);
-      simd::widen(in.xf.data(), o.d4.data(), n);
       simd::accumulate_sums(in.xd.data(), o.d1.data(), o.d2.data(), n);
       simd::accumulate_sums_f(in.xf.data(), o.d1.data(), o.d2.data(), n);
       simd::add_f(in.xf.data(), o.d1.data(), n);
@@ -167,17 +163,13 @@ TEST(SimdKernels, AllKernelsBitIdenticalAcrossBackends) {
       o.d3.insert(o.d3.end(), cnt.begin(), cnt.end());
       o.d3.insert(o.d3.end(), mean.begin(), mean.end());
       o.d3.insert(o.d3.end(), m2.begin(), m2.end());
-      o.scalar1 = simd::peak_abs_correlation(
-          static_cast<double>(n) + 2.0, 3.0, 11.0, in.st.data(),
-          in.st2.data(), in.xd.data(), n);
-      o.scalar2 = simd::peak_abs_correlation_scaled(
+      o.peak = simd::peak_abs_correlation_scaled(
           static_cast<double>(n) + 2.0, 3.0, 11.0, in.st.data(),
           in.st2.data(), in.xd.data(), in.acc1.data(), 0x1.0p-8, n);
-      o.scalar2 += simd::peak_abs_correlation_scaled(
+      o.peak += simd::peak_abs_correlation_scaled(
           static_cast<double>(n) + 2.0, 3.0, 11.0, in.st.data(),
           in.st2.data(), in.xd.data(), nullptr, 0x1.0p-8, n);
       simd::xor_popcount(in.bytes.data(), 0xa5, o.b1.data(), n);
-      simd::hyp_sums(in.bytes.data(), o.i1.data(), o.i2.data(), n);
       return o;
     };
     simd::set_backend(simd::Backend::kScalar);
@@ -187,13 +179,8 @@ TEST(SimdKernels, AllKernelsBitIdenticalAcrossBackends) {
     expect_bits_equal(s.d1, v.d1, "d1");
     expect_bits_equal(s.d2, v.d2, "d2");
     expect_bits_equal(s.d3, v.d3, "welch/welford");
-    expect_bits_equal(s.d4, v.d4, "widen");
     EXPECT_EQ(s.b1, v.b1) << "xor_popcount n=" << n;
-    EXPECT_EQ(s.i1, v.i1) << "hyp_sums sh n=" << n;
-    EXPECT_EQ(s.i2, v.i2) << "hyp_sums sh2 n=" << n;
-    EXPECT_EQ(std::memcmp(&s.scalar1, &v.scalar1, sizeof(double)), 0)
-        << "peak_abs_correlation n=" << n;
-    EXPECT_EQ(std::memcmp(&s.scalar2, &v.scalar2, sizeof(double)), 0)
+    EXPECT_EQ(std::memcmp(&s.peak, &v.peak, sizeof(double)), 0)
         << "peak_abs_correlation_scaled n=" << n;
   }
 
@@ -312,7 +299,7 @@ TEST(SimdKernels, Crc32MatchesReferenceValuesOnEveryBackend) {
   }
 }
 
-TEST(SimdKernels, XorPopcountAndHypSumsMatchNaive) {
+TEST(SimdKernels, XorPopcountMatchesNaive) {
   BackendGuard guard;
   for (const simd::Backend b : available_backends()) {
     simd::set_backend(b);
@@ -320,15 +307,10 @@ TEST(SimdKernels, XorPopcountAndHypSumsMatchNaive) {
     for (std::size_t i = 0; i < pre.size(); ++i)
       pre[i] = static_cast<std::uint8_t>((i * 37 + 11) & 0xff);
     simd::xor_popcount(pre.data(), 0x3c, out.data(), pre.size());
-    std::vector<std::int64_t> sh(300, 0), sh2(300, 0);
-    simd::hyp_sums(out.data(), sh.data(), sh2.data(), out.size());
-    for (std::size_t i = 0; i < pre.size(); ++i) {
-      const int want = __builtin_popcount(
-          static_cast<unsigned>(pre[i] ^ 0x3c));
-      EXPECT_EQ(out[i], want) << i;
-      EXPECT_EQ(sh[i], want) << i;
-      EXPECT_EQ(sh2[i], want * want) << i;
-    }
+    for (std::size_t i = 0; i < pre.size(); ++i)
+      EXPECT_EQ(out[i], __builtin_popcount(
+                            static_cast<unsigned>(pre[i] ^ 0x3c)))
+          << i;
   }
 }
 
@@ -391,17 +373,30 @@ Campaign make_campaign(std::size_t n_traces, std::size_t samples,
   return c;
 }
 
-std::vector<double> cpa_signature(const Campaign& c, analysis::CpaMode mode,
-                                  aes::LeakageModel model,
-                                  std::size_t batch) {
-  analysis::CpaEngine eng(c.traces[0].size(), {0, 5, 15}, model, mode);
-  if (mode == analysis::CpaMode::kBatched) eng.set_batch_size(batch);
-  for (std::size_t i = 0; i < c.traces.size(); ++i)
-    eng.add(c.pts[i], c.cts[i], c.traces[i]);
+std::vector<double> signature(
+    const std::vector<analysis::CpaEngine::ByteReport>& reports) {
   std::vector<double> sig;
-  for (const auto& rep : eng.report())
+  for (const auto& rep : reports)
     sig.insert(sig.end(), rep.peak_abs_corr.begin(), rep.peak_abs_corr.end());
   return sig;
+}
+
+std::vector<double> cpa_signature(const Campaign& c, aes::LeakageModel model,
+                                  std::size_t batch) {
+  analysis::CpaEngine eng(c.traces[0].size(), {0, 5, 15}, model);
+  eng.set_batch_size(batch);
+  for (std::size_t i = 0; i < c.traces.size(); ++i)
+    eng.add(c.pts[i], c.cts[i], c.traces[i]);
+  return signature(eng.report());
+}
+
+/// The same campaign through the scalar oracle, which uses no kernel.
+std::vector<double> oracle_signature(const Campaign& c,
+                                     aes::LeakageModel model) {
+  analysis::CpaOracle oracle(c.traces[0].size(), {0, 5, 15}, model);
+  for (std::size_t i = 0; i < c.traces.size(); ++i)
+    oracle.add(c.pts[i], c.cts[i], c.traces[i]);
+  return signature(oracle.report());
 }
 
 TEST(SimdGolden, CpaReportsBitIdenticalAcrossBackendsAndThreads) {
@@ -410,26 +405,22 @@ TEST(SimdGolden, CpaReportsBitIdenticalAcrossBackendsAndThreads) {
   const Campaign c = make_campaign(150, 96, 0xc0ffee);
   for (const aes::LeakageModel model :
        {aes::LeakageModel::kLastRoundHd, aes::LeakageModel::kFirstRoundHw}) {
-    std::vector<double> ref_stream, ref_batch;
+    std::vector<double> ref_batch;
     for (const std::size_t threads : kThreadSweep) {
       for (const simd::Backend b : available_backends()) {
         par::set_thread_count(threads);
         simd::set_backend(b);
-        const auto stream =
-            cpa_signature(c, analysis::CpaMode::kStreaming, model, 64);
-        const auto batch =
-            cpa_signature(c, analysis::CpaMode::kBatched, model, 64);
-        if (ref_stream.empty()) {
-          ref_stream = stream;
+        const auto batch = cpa_signature(c, model, 64);
+        if (ref_batch.empty()) {
           ref_batch = batch;
           continue;
         }
-        expect_bits_equal(ref_stream, stream, "streaming report");
         expect_bits_equal(ref_batch, batch, "batched report");
       }
     }
-    // Quantized traces additionally make batched == streaming exactly.
-    expect_bits_equal(ref_stream, ref_batch, "streaming vs batched");
+    // Quantized traces additionally make batched == oracle exactly.
+    expect_bits_equal(oracle_signature(c, model), ref_batch,
+                      "oracle vs batched");
   }
 }
 
@@ -445,8 +436,8 @@ TEST(SimdGolden, CpaBatchedMergesAssociativelyAcrossTileSizes) {
     std::vector<double> ref;
     for (const std::size_t batch :
          {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{500}}) {
-      const auto sig = cpa_signature(c, analysis::CpaMode::kBatched,
-                                     aes::LeakageModel::kLastRoundHd, batch);
+      const auto sig =
+          cpa_signature(c, aes::LeakageModel::kLastRoundHd, batch);
       if (ref.empty()) {
         ref = sig;
         continue;

@@ -22,6 +22,7 @@
 #include "sched/fixed_clock.hpp"
 #include "trace/acquisition.hpp"
 #include "util/parallel.hpp"
+#include "cpa_oracle.hpp"
 #include "scratch.hpp"
 
 namespace rftc::trace {
@@ -476,45 +477,32 @@ class StreamedAnalysis : public ::testing::Test {
 TEST_F(StreamedAnalysis, CpaBitIdenticalToInRamAcrossEnginesAndThreads) {
   const aes::Block rk10 = aes::expand_key(test_key())[10];
   TraceStore store(store_path());
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    par::set_thread_count(threads);
-    for (const analysis::CpaMode mode :
-         {analysis::CpaMode::kStreaming, analysis::CpaMode::kBatched}) {
-      for (const std::size_t downsample : {std::size_t{1}, std::size_t{4}}) {
-        analysis::AttackParams params;
-        params.kind = analysis::AttackKind::kCpa;
-        params.engine_mode = mode;
-        params.downsample = downsample;
-        params.byte_positions = {0, 7, 15};
-        params.checkpoints = {250, 700, kTraces};
-        const analysis::AttackOutcome ram =
-            run_attack(corpus(), rk10, params);
-        const analysis::AttackOutcome ooc = run_attack(store, rk10, params);
-        ASSERT_EQ(ram.checkpoints, ooc.checkpoints);
-        ASSERT_EQ(ram.success, ooc.success);
-        // Independent reference: the TraceSet::downsampled copy fed to an
-        // engine trace by trace.
-        const TraceSet ds = corpus().downsampled(downsample);
-        analysis::CpaEngine ref(ds.samples(), params.byte_positions,
-                                params.leakage, mode);
-        std::size_t fed = 0;
-        for (std::size_t i = 0; i < ram.checkpoints.size(); ++i) {
-          for (; fed < ram.checkpoints[i]; ++fed)
-            ref.add(ds.plaintext(fed), ds.ciphertext(fed), ds.trace(fed));
-          const analysis::AttackCheckpoint want =
-              analysis::evaluate_attack_checkpoint(ref, rk10);
-          SCOPED_TRACE("threads=" + std::to_string(threads) + " downsample=" +
-                       std::to_string(downsample) +
-                       " cp=" + std::to_string(ram.checkpoints[i]));
-          // Bit-identical, not approximately equal: every path must feed
-          // the same floats through the same accumulators in the same
-          // order.
-          EXPECT_EQ(ram.mean_rank[i], want.mean_rank);
-          EXPECT_EQ(ram.peak_corr[i], want.peak_corr);
-          EXPECT_EQ(ooc.mean_rank[i], want.mean_rank);
-          EXPECT_EQ(ooc.peak_corr[i], want.peak_corr);
-        }
-      }
+  for (const std::size_t downsample : {std::size_t{1}, std::size_t{4}}) {
+    analysis::AttackParams params;
+    params.kind = analysis::AttackKind::kCpa;
+    params.downsample = downsample;
+    params.byte_positions = {0, 7, 15};
+    params.checkpoints = {250, 700, kTraces};
+    // Independent reference: the TraceSet::downsampled copy fed to the
+    // scalar oracle trace by trace.
+    const analysis::AttackOutcome want =
+        analysis::oracle_attack(corpus(), rk10, params);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      par::set_thread_count(threads);
+      const analysis::AttackOutcome ram = run_attack(corpus(), rk10, params);
+      const analysis::AttackOutcome ooc = run_attack(store, rk10, params);
+      ASSERT_EQ(ram.checkpoints, want.checkpoints);
+      ASSERT_EQ(ooc.checkpoints, want.checkpoints);
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " downsample=" + std::to_string(downsample));
+      // Bit-identical, not approximately equal: every path must feed the
+      // same floats through accumulators whose sums are exact.
+      EXPECT_EQ(ram.success, want.success);
+      EXPECT_EQ(ram.mean_rank, want.mean_rank);
+      EXPECT_EQ(ram.peak_corr, want.peak_corr);
+      EXPECT_EQ(ooc.success, want.success);
+      EXPECT_EQ(ooc.mean_rank, want.mean_rank);
+      EXPECT_EQ(ooc.peak_corr, want.peak_corr);
     }
   }
   par::set_thread_count(0);  // restore the default

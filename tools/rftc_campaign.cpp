@@ -6,7 +6,7 @@
 //
 //   rftc-campaign attack --store <s.rtst> --key <32-hex>
 //       [--workers N] [--dir D] [--retries R] [--worker PATH]
-//       [--checkpoints a,b,c] [--engine streaming|batched]
+//       [--checkpoints a,b,c]
 //       [--leakage last_round_hd|first_round_hw] [--downsample K]
 //       [--bytes i,j,...] [--report PATH]
 //
@@ -155,13 +155,6 @@ Cli parse_cli(int argc, char** argv) {
         if (b > 15) usage("--bytes entries must be in [0, 15]");
         cli.spec.byte_positions.push_back(static_cast<int>(b));
       }
-    } else if (flag == "--engine") {
-      if (value == "streaming")
-        cli.spec.engine_mode = analysis::CpaMode::kStreaming;
-      else if (value == "batched")
-        cli.spec.engine_mode = analysis::CpaMode::kBatched;
-      else
-        usage("--engine must be streaming or batched");
     } else if (flag == "--leakage") {
       if (value == "last_round_hd")
         cli.spec.leakage = aes::LeakageModel::kLastRoundHd;
