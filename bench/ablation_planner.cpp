@@ -42,7 +42,7 @@ std::size_t plan_collisions(const core::FrequencyPlan& plan,
 }  // namespace
 
 int main() {
-  obs::BenchReport report("ablation_planner");
+  obs::RunManifest report("ablation_planner");
   const bench::ScaleProfile profile = bench::scale_profile();
   const int p = profile.name == "full" ? 512 : 128;
   report.note("profile", profile.name);

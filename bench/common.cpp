@@ -135,35 +135,26 @@ AttackSuiteResult run_attack_suite(const std::string& label,
 
   // One campaign per repetition, shared by all four attack kinds (each
   // attack sees the same adversary budget, as in the paper's evaluation).
-  std::vector<std::vector<double>> rate(4);
-  for (auto& r : rate) r.assign(profile.sr_checkpoints.size(), 0.0);
-  for (unsigned rep = 0; rep < profile.sr_repeats; ++rep) {
-    const trace::TraceSet set = factory(rep, profile.sr_max_traces);
-    for (std::size_t k = 0; k < 4; ++k) {
-      analysis::AttackParams attack;
-      attack.kind = kKinds[k];
-      attack.byte_positions = profile.attack_bytes;
-      attack.checkpoints = profile.sr_checkpoints;
-      const analysis::AttackOutcome out =
-          analysis::run_attack(set, rk10, attack);
-      for (std::size_t i = 0; i < out.checkpoints.size(); ++i)
-        rate[k][i] += out.success[i] ? 1.0 : 0.0;
-    }
+  std::array<analysis::AttackParams, 4> attacks;
+  for (std::size_t k = 0; k < 4; ++k) {
+    attacks[k].kind = kKinds[k];
+    attacks[k].byte_positions = profile.attack_bytes;
   }
+  analysis::SuccessRateParams sr;
+  sr.checkpoints = profile.sr_checkpoints;
+  sr.repeats = profile.sr_repeats;
+  const std::vector<analysis::SuccessRateCurve> curves =
+      analysis::estimate_success_rate(factory, rk10, attacks, sr);
+
   AttackSuiteResult result;
   result.traces_captured = profile.sr_repeats * profile.sr_max_traces;
   for (std::size_t k = 0; k < 4; ++k) {
     result.attack_names[k] = analysis::attack_name(kKinds[k]);
     std::printf("%-10s", result.attack_names[k].c_str());
-    std::size_t broke = 0;
-    for (std::size_t i = 0; i < profile.sr_checkpoints.size(); ++i) {
-      const double s = rate[k][i] / profile.sr_repeats;
-      std::printf("%10.2f", s);
-      if (broke == 0 && s >= 0.5) broke = profile.sr_checkpoints[i];
-    }
-    result.break_points[k] = broke;
-    if (broke != 0) {
-      std::printf("   BROKEN @ %zu\n", broke);
+    for (const double s : curves[k].success_rate) std::printf("%10.2f", s);
+    result.break_points[k] = curves[k].traces_to_reach(0.5);
+    if (result.break_points[k] != 0) {
+      std::printf("   BROKEN @ %zu\n", result.break_points[k]);
     } else {
       std::printf("   not broken\n");
     }
@@ -172,7 +163,7 @@ AttackSuiteResult run_attack_suite(const std::string& label,
   return result;
 }
 
-void record_suite(obs::BenchReport& report, const std::string& label,
+void record_suite(obs::RunManifest& report, const std::string& label,
                   const AttackSuiteResult& result) {
   for (std::size_t k = 0; k < 4; ++k) {
     report.metric(label + "." + result.attack_names[k] + "_break",
@@ -182,7 +173,7 @@ void record_suite(obs::BenchReport& report, const std::string& label,
                 static_cast<double>(result.resisted_count()), "attacks");
 }
 
-void finish_capture_bench(obs::BenchReport& report) {
+void finish_capture_bench(obs::RunManifest& report) {
   const double captured = static_cast<double>(
       obs::Registry::global().counter("trace.traces_captured").value());
   report.note("simd_isa", simd::backend_name());

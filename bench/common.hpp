@@ -16,7 +16,7 @@
 #include "aes/aes128.hpp"
 #include "analysis/attacks.hpp"
 #include "analysis/success_rate.hpp"
-#include "obs/bench_report.hpp"
+#include "obs/run_manifest.hpp"
 #include "rftc/device.hpp"
 #include "trace/acquisition.hpp"
 
@@ -91,12 +91,12 @@ AttackSuiteResult run_attack_suite(const std::string& label,
 
 /// Records a suite outcome into `report` as "<label>.<attack>_break"
 /// metrics (unit "traces", 0 = resisted) plus a "<label>.resisted" count.
-void record_suite(obs::BenchReport& report, const std::string& label,
+void record_suite(obs::RunManifest& report, const std::string& label,
                   const AttackSuiteResult& result);
 
 /// Finishes a bench that captured traces: sets throughput from the global
 /// "trace.traces_captured" counter and writes BENCH_<name>.json.
-void finish_capture_bench(obs::BenchReport& report);
+void finish_capture_bench(obs::RunManifest& report);
 
 /// Markdown-ish table row helpers.
 void print_rule(std::size_t width = 78);

@@ -68,7 +68,7 @@ bool same_tvla(const analysis::TvlaResult& a, const analysis::TvlaResult& b) {
 }  // namespace
 
 int main() {
-  obs::BenchReport report("dist_campaign");
+  obs::RunManifest report("dist_campaign");
   std::size_t n = 8'000;
   if (const char* env = std::getenv("RFTC_DIST_TRACES")) {
     const long v = std::atol(env);

@@ -42,7 +42,7 @@ std::size_t sw_cpa_suite(const std::string& label,
 }  // namespace
 
 int main() {
-  obs::BenchReport report("extensions_future_work");
+  obs::RunManifest report("extensions_future_work");
   const bench::ScaleProfile profile = bench::scale_profile();
   report.note("profile", profile.name);
   report.seed(77);  // planner seed; captures derive from 405

@@ -16,14 +16,14 @@ using namespace rftc;
 int main() {
   bench::print_header("Fault campaign: DRP fault rate x timing margin");
 
-  obs::BenchReport report("fault_campaign");
+  obs::RunManifest report("fault_campaign");
   fault::CampaignParams params;
   params.seed = 20260806;
   params.encryptions_per_cell = 400;
   report.seed(params.seed);
 
   const fault::CampaignResult result =
-      fault::run_fault_campaign(params, &report.manifest());
+      fault::run_fault_campaign(params, &report);
 
   std::printf(
       "  %8s %9s %7s %8s %8s %6s %5s %9s %8s %7s\n", "drp_rate", "margin_ps",

@@ -53,7 +53,7 @@ void print_report(const char* label, const HistReport& rep) {
 }  // namespace
 
 int main() {
-  obs::BenchReport report("fig3_completion_times");
+  obs::RunManifest report("fig3_completion_times");
   const bench::ScaleProfile profile = bench::scale_profile();
   // The planner at P=1024 is a one-time design step; the fast profile uses
   // P=256 to keep the bench snappy (the histogram structure is identical).

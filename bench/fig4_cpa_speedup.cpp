@@ -54,7 +54,7 @@ bool same_outcome(const rftc::analysis::AttackOutcome& a,
 
 int main() {
   using namespace rftc;
-  obs::BenchReport report("fig4_cpa_speedup");
+  obs::RunManifest report("fig4_cpa_speedup");
   const bench::ScaleProfile profile = bench::scale_profile();
   report.note("profile", profile.name);
   report.note("simd_isa", simd::backend_name());

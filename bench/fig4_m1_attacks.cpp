@@ -11,7 +11,7 @@
 
 int main() {
   using namespace rftc;
-  obs::BenchReport report("fig4_m1_attacks");
+  obs::RunManifest report("fig4_m1_attacks");
   const bench::ScaleProfile profile = bench::scale_profile();
   report.note("profile", profile.name);
   report.seed(0x5EED0000);  // rftc_factory campaign seed base

@@ -9,7 +9,7 @@
 
 int main() {
   using namespace rftc;
-  obs::BenchReport report("fig5_m2_attacks");
+  obs::RunManifest report("fig5_m2_attacks");
   const bench::ScaleProfile profile = bench::scale_profile();
   report.note("profile", profile.name);
   report.seed(0x5EED0000);  // rftc_factory campaign seed base

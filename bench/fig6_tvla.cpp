@@ -54,7 +54,7 @@ analysis::TvlaResult tvla_out_of_core(const trace::CaptureShardFactory& factory,
                                       const std::string& dir,
                                       const std::string& label,
                                       analysis::ConvergenceMonitor* monitor,
-                                      obs::BenchReport& report) {
+                                      obs::RunManifest& report) {
   const std::string fixed_path = dir + "/fig6_" + label + "_fixed.rtst";
   const std::string random_path = dir + "/fig6_" + label + "_random.rtst";
   const std::size_t samples = factory(0).sim.samples();
@@ -103,7 +103,7 @@ void report_line(const std::string& label, const analysis::TvlaResult& res,
 }  // namespace
 
 int main() {
-  obs::BenchReport report("fig6_tvla");
+  obs::RunManifest report("fig6_tvla");
   const bench::ScaleProfile profile = bench::scale_profile();
   const std::size_t n = profile.tvla_traces;
   report.seed(900);  // base of the per-config capture seeds below
@@ -138,7 +138,7 @@ int main() {
                              store_dir, "unprotected", &mon_u, report);
   report_line("Unprotected @ 48 MHz", res_u, load_region);
   report.metric("unprotected.max_abs_t", res_u.max_abs_t, "|t|");
-  mon_u.emit(report.manifest(), "unprotected.");
+  mon_u.emit(report, "unprotected.");
 
   std::vector<std::vector<double>> curves;
   for (const int m : {1, 2, 3}) {
@@ -161,7 +161,7 @@ int main() {
                       ")",
                   res, load_region);
       report.metric(label + ".max_abs_t", res.max_abs_t, "|t|");
-      monitor.emit(report.manifest(), label + ".");
+      monitor.emit(report, label + ".");
       if (m == 3 && p == 1024) {
         std::printf("\nTVLA convergence, RFTC(3, 1024) (|t| over the trace "
                     "axis, log-spaced checkpoints):\n");

@@ -8,7 +8,7 @@
 
 int main() {
   using namespace rftc;
-  obs::BenchReport report("m3_attacks");
+  obs::RunManifest report("m3_attacks");
   const bench::ScaleProfile profile = bench::scale_profile();
   report.note("profile", profile.name);
   report.seed(0x5EED0000);  // rftc_factory campaign seed base

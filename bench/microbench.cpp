@@ -278,7 +278,7 @@ BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20)->Arg(32 << 20);
 /// scalar byte table on one 8 MiB buffer (best of 5 each) and fails the
 /// bench if the two CRCs differ or, with the AVX2 backend active, if the
 /// PCLMULQDQ fold is less than 4x faster.
-bool run_crc32_speedup_gate(obs::BenchReport& report) {
+bool run_crc32_speedup_gate(obs::RunManifest& report) {
   constexpr std::size_t kBytes = std::size_t{8} << 20;
   constexpr int kRepeats = 5;
   const std::vector<std::uint8_t> buf = crc_buffer(kBytes);
@@ -325,7 +325,7 @@ class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   // Tabular but uncolored: the default OO_Color writes ANSI escapes even
   // into pipes, which breaks downstream grep/CI log parsing.
-  explicit CaptureReporter(obs::BenchReport& report)
+  explicit CaptureReporter(obs::RunManifest& report)
       : ConsoleReporter(OO_Tabular), report_(report) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -344,13 +344,13 @@ class CaptureReporter : public benchmark::ConsoleReporter {
   }
 
  private:
-  obs::BenchReport& report_;
+  obs::RunManifest& report_;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  rftc::obs::BenchReport report("microbench");
+  rftc::obs::RunManifest report("microbench");
   report.seed(1);  // fixtures use small fixed per-benchmark seeds
   report.note("simd_isa", rftc::simd::backend_name());
   benchmark::Initialize(&argc, argv);

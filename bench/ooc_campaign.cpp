@@ -33,7 +33,7 @@ using namespace rftc;
 }  // namespace
 
 int main() {
-  obs::BenchReport report("ooc_campaign");
+  obs::RunManifest report("ooc_campaign");
   std::size_t n = 40'000;
   if (const char* env = std::getenv("RFTC_OOC_TRACES")) {
     const long v = std::atol(env);

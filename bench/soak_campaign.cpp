@@ -122,7 +122,7 @@ int main() {
   }
 
   const std::uint64_t seed = 0x50AC'CA4D;
-  obs::BenchReport report("soak_campaign");
+  obs::RunManifest report("soak_campaign");
   report.seed(seed);
   bench::print_header("Soak campaign: " + std::to_string(segments) +
                       " segments x " + std::to_string(n) +

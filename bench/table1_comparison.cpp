@@ -75,7 +75,7 @@ std::size_t break_point(const analysis::CampaignFactory& factory,
 }  // namespace
 
 int main() {
-  obs::BenchReport report("table1_comparison");
+  obs::RunManifest report("table1_comparison");
   const bench::ScaleProfile profile = bench::scale_profile();
   report.note("profile", profile.name);
   report.seed(99);  // planner seed; campaign seeds derive from 0xF000

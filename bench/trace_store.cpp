@@ -38,7 +38,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main() {
-  obs::BenchReport report("trace_store");
+  obs::RunManifest report("trace_store");
   const std::size_t samples = 500;
   std::size_t n = 20'000;
   if (const char* env = std::getenv("RFTC_STORE_BENCH_TRACES")) {

@@ -9,7 +9,7 @@
 
 int main() {
   using namespace rftc;
-  obs::BenchReport report("unprotected_baseline");
+  obs::RunManifest report("unprotected_baseline");
   bench::ScaleProfile profile = bench::scale_profile();
   // The unprotected core breaks quickly: finer checkpoints at the low end.
   profile.sr_checkpoints = {50, 100, 200, 400, 800, 1'600, 3'200};

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
                         0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C};
   trace::PowerModelParams pm;
   obs::RunManifest manifest("attack_demo");
-  manifest.provenance().seed = 1;  // base of the capture seeds below
+  manifest.seed(1);  // base of the capture seeds below
 
   {
     core::ScheduledAesDevice dev(
@@ -96,8 +96,7 @@ int main(int argc, char** argv) {
         [&](const aes::Block& pt) { return dev.encrypt(pt); }, sim, n, rng);
     attack("RFTC(3, 64)", set, key, "rftc_3_64", manifest);
   }
-  manifest.final_metric("traces", static_cast<double>(n), "traces");
+  manifest.metric("traces", static_cast<double>(n), "traces");
   manifest.write();
-  std::printf("\nrun manifest: %s\n", manifest.path().c_str());
   return 0;
 }

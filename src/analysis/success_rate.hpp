@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "analysis/attacks.hpp"
@@ -31,9 +32,12 @@ struct SuccessRateCurve {
   std::size_t traces_to_reach(double level) const;
 };
 
-SuccessRateCurve estimate_success_rate(const CampaignFactory& factory,
-                                       const aes::Block& round10_key,
-                                       AttackParams attack,
-                                       const SuccessRateParams& params);
+/// One curve per entry of `attacks`, in order.  Each repetition captures
+/// one campaign of the largest checkpoint's size and scores every attack on
+/// it, so all attacks see the same adversary budget.  The attacks'
+/// own `checkpoints` are replaced by the sorted `params.checkpoints`.
+std::vector<SuccessRateCurve> estimate_success_rate(
+    const CampaignFactory& factory, const aes::Block& round10_key,
+    std::span<const AttackParams> attacks, const SuccessRateParams& params);
 
 }  // namespace rftc::analysis

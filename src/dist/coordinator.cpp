@@ -41,7 +41,6 @@ std::vector<std::string> child_env(const std::string& stem) {
     if (s.starts_with("RFTC_OBS_HEARTBEAT=") ||
         s.starts_with("RFTC_OBS_POSTMORTEM=") ||
         s.starts_with("RFTC_OBS_TRACE=") ||
-        s.starts_with("RFTC_OBS_TRACE_JSONL=") ||
         s.starts_with("RFTC_OBS_METRICS="))
       continue;
     env.emplace_back(s);

@@ -132,6 +132,8 @@ class Parser {
     while (true) {
       const char c = take();
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20)
+        fail("raw control character in string");
       if (c != '\\') {
         out += c;
         continue;
@@ -176,23 +178,38 @@ class Parser {
     }
   }
 
+  /// Consumes a run of decimal digits; returns how many.
+  std::size_t digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
+      ++pos_;
+    return pos_ - from;
+  }
+
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and the
+  /// value must be finite (a double cannot carry 1e400).
   Value parse_number() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-          c == '+' || c == '-') {
-        ++pos_;
-      } else {
-        break;
-      }
+    if (at('-')) ++pos_;
+    if (at('0')) {
+      ++pos_;  // no leading zeros: "050" stops after the 0
+    } else if (digits() == 0) {
+      fail("expected value");
     }
-    if (pos_ == start) fail("expected value");
+    if (at('.')) {
+      ++pos_;
+      if (digits() == 0) fail("bad number");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (digits() == 0) fail("bad number");
+    }
     const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double num = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("bad number");
+    const double num = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(num)) fail("number out of range");
     Value v;
     v.kind = Value::Kind::kNumber;
     v.num = num;

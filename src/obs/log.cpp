@@ -9,37 +9,18 @@
 
 #include "obs/json.hpp"
 #include "obs/run_manifest.hpp"
+#include "obs/thread_ring.hpp"
 #include "obs/trace_event.hpp"
-#include "util/env.hpp"
 
 namespace rftc::obs::log {
 
 namespace {
 
-constexpr std::size_t kDefaultRingRecords = 256;
-constexpr std::size_t kMinRingRecords = 16;
-/// Upper bound on thread rings the lock-free table can register; threads
-/// beyond it still reach the sinks, they just leave no flight-recorder
-/// trail.  Fixed so a crash handler can walk the table with atomic loads.
-constexpr int kMaxRings = 256;
+/// The flight recorder.  Threads past the table's fixed slot count still
+/// reach the sinks, they just leave no flight-recorder trail.
+using LogRings = RingTable<Record, kLogRingRecords>;
 
-/// One thread's bounded record ring.  Allocated on the thread's first
-/// emit, registered once, never freed — the postmortem path may read it
-/// after the owning thread exited.
-struct Ring {
-  Ring(std::size_t cap, std::uint32_t tid_in)
-      : slots(new Record[cap]), capacity(cap), tid(tid_in) {}
-  Record* slots;
-  std::size_t capacity;
-  std::atomic<std::uint64_t> written{0};
-  std::uint32_t tid;
-};
-
-std::atomic<Ring*> g_rings[kMaxRings];
-std::atomic<int> g_ring_count{0};
 std::atomic<std::uint64_t> g_seq{0};
-std::atomic<std::uint32_t> g_next_tid{1};
-std::atomic<std::size_t> g_ring_capacity{kDefaultRingRecords};
 
 /// Fast-reject floor: the minimum of the default level and every override.
 /// A record below this passes no subsystem's floor, so emit() bails on one
@@ -98,32 +79,9 @@ void init_impl() {
     c.spec = parse_spec(spec);
     publish_min_level(c.spec);
   }
-  if (std::getenv("RFTC_LOG_RING") != nullptr)
-    set_ring_capacity(env::read_count("RFTC_LOG_RING", ring_capacity()));
   if (const char* path = std::getenv("RFTC_LOG_FILE")) {
     if (path[0] != '\0') set_file_sink_impl(path);
   }
-}
-
-std::uint32_t local_tid() {
-  thread_local std::uint32_t tid =
-      g_next_tid.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
-
-Ring* local_ring() {
-  thread_local Ring* ring = nullptr;
-  thread_local bool tried = false;
-  if (!tried) {
-    tried = true;
-    const int idx = g_ring_count.fetch_add(1, std::memory_order_relaxed);
-    if (idx < kMaxRings) {
-      ring = new Ring(std::max(g_ring_capacity.load(), kMinRingRecords),
-                      local_tid());
-      g_rings[idx].store(ring, std::memory_order_release);
-    }
-  }
-  return ring;
 }
 
 /// Renders message + args into `out` (cap bytes incl. NUL); bounded,
@@ -281,19 +239,14 @@ void emit(Level level, const char* subsystem, std::string_view message,
   Record rec;
   rec.seq = g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
   rec.ts_ns = Tracer::global().now_ns();
-  rec.tid = local_tid();
+  rec.tid = thread_id();
   rec.level = level;
   std::snprintf(rec.subsystem, sizeof rec.subsystem, "%s", subsystem);
   render_text(rec.text, sizeof rec.text, message, args);
 
   // Flight recorder first: even if a sink write crashes, the record is in
-  // the ring the postmortem dump reads.  Fields land before the release
-  // store of `written`, so a reader never sees an unwritten slot as valid.
-  if (Ring* ring = local_ring()) {
-    const std::uint64_t w = ring->written.load(std::memory_order_relaxed);
-    ring->slots[static_cast<std::size_t>(w % ring->capacity)] = rec;
-    ring->written.store(w + 1, std::memory_order_release);
-  }
+  // the ring the postmortem dump reads.
+  if (LogRings::Ring* ring = LogRings::local()) ring->push(rec);
 
   Config& c = config();
   std::lock_guard<std::mutex> lock(c.mu);
@@ -312,33 +265,16 @@ void emit(Level level, const char* subsystem, std::string_view message,
   }
 }
 
-void set_ring_capacity(std::size_t records) {
-  g_ring_capacity.store(std::max(records, kMinRingRecords));
-}
-
-std::size_t ring_capacity() { return g_ring_capacity.load(); }
-
 std::size_t flight_recorder_tail_unsafe(Record* out, std::size_t max) {
   if (out == nullptr || max == 0) return 0;
   std::size_t count = 0;
-  const int rings =
-      std::min(g_ring_count.load(std::memory_order_acquire), kMaxRings);
-  for (int i = 0; i < rings; ++i) {
-    const Ring* ring = g_rings[i].load(std::memory_order_acquire);
-    if (ring == nullptr) continue;
-    const std::uint64_t written =
-        ring->written.load(std::memory_order_acquire);
-    const std::uint64_t n =
-        std::min<std::uint64_t>(written, ring->capacity);
-    // Only the ring's own most recent `max` can make the global tail.
-    const std::uint64_t take = std::min<std::uint64_t>(n, max);
-    for (std::uint64_t k = written - take; k < written; ++k) {
-      const Record& rec =
-          ring->slots[static_cast<std::size_t>(k % ring->capacity)];
-      if (rec.seq == 0) continue;
+  // Only a ring's own most recent `max` can make the global tail.
+  LogRings::for_each([&](const LogRings::Ring& ring) {
+    ring.for_recent(max, [&](const Record& rec) {
+      if (rec.seq == 0) return;
       // Keep `out` ascending by seq, holding the largest `max` seen.
       if (count == max) {
-        if (rec.seq <= out[0].seq) continue;
+        if (rec.seq <= out[0].seq) return;
         std::memmove(out, out + 1, (max - 1) * sizeof(Record));
         --count;
       }
@@ -347,8 +283,8 @@ std::size_t flight_recorder_tail_unsafe(Record* out, std::size_t max) {
       std::memmove(out + pos + 1, out + pos, (count - pos) * sizeof(Record));
       std::memcpy(out + pos, &rec, sizeof(Record));
       ++count;
-    }
-  }
+    });
+  });
   return count;
 }
 

@@ -3,9 +3,10 @@
 //
 // One emit() produces up to three things:
 //   1. a flight-recorder record: a fixed-size POD appended to the calling
-//      thread's bounded ring.  Rings are pre-allocated, never freed and
-//      registered in a lock-free table, so a crash handler can walk them
-//      with nothing but atomic loads (obs/postmortem.hpp does exactly
+//      thread's ring of kLogRingRecords records (obs/thread_ring.hpp, the
+//      primitive the event tracer uses too).  Rings are never freed and
+//      are registered in a lock-free table, so a crash handler can walk
+//      them with nothing but atomic loads (obs/postmortem.hpp does exactly
 //      that).  Cheap enough to leave on in release builds.
 //   2. a stderr pretty line:  [   12.345s] W clk    message key=value
 //   3. a JSONL record on the file sink (RFTC_LOG_FILE), one self-contained
@@ -23,9 +24,6 @@
 //   RFTC_LOG_FILE=<path>
 //       JSONL sink; a relative path lands under RFTC_BENCH_DIR like every
 //       other artifact.
-//   RFTC_LOG_RING=<n>
-//       Flight-recorder ring capacity in records per thread (default 256,
-//       minimum 16).
 //
 // Hot-path contract: a disabled emit() costs one relaxed atomic load and a
 // compare against the process-wide minimum level (plus a per-subsystem
@@ -119,7 +117,7 @@ inline void error(const char* subsystem, std::string_view message,
   emit(Level::kError, subsystem, message, args);
 }
 
-/// Reads RFTC_LOG / RFTC_LOG_FILE / RFTC_LOG_RING once.  Idempotent,
+/// Reads RFTC_LOG / RFTC_LOG_FILE once.  Idempotent,
 /// thread-safe, called lazily by enabled()/emit().
 void init_from_env();
 
@@ -139,6 +137,8 @@ void set_stderr_sink(bool on);
 // ------------------------------------------------------ flight recorder --
 
 inline constexpr std::size_t kSubsystemCap = 16;
+/// Records each thread's flight-recorder ring holds.
+inline constexpr std::size_t kLogRingRecords = 256;
 inline constexpr std::size_t kRecordTextCap = 168;
 
 /// One fixed-size flight-recorder record.  POD on purpose: the crash
@@ -152,11 +152,6 @@ struct Record {
   char subsystem[kSubsystemCap] = {};
   char text[kRecordTextCap] = {};  // message plus rendered key=value args
 };
-
-/// Ring capacity, in records per thread, for rings created after the call
-/// (also settable via RFTC_LOG_RING; minimum 16).
-void set_ring_capacity(std::size_t records);
-std::size_t ring_capacity();
 
 /// Async-signal-safe: copies the `max` most recent records (by sequence
 /// number) across every thread ring into `out`, oldest first, using only

@@ -18,12 +18,10 @@ namespace {
 
 struct SinkConfig {
   std::string trace_path;
-  std::string jsonl_path;
   std::string metrics_dest;
   bool heartbeat = false;
   bool any() const {
-    return !trace_path.empty() || !jsonl_path.empty() ||
-           !metrics_dest.empty() || heartbeat;
+    return !trace_path.empty() || !metrics_dest.empty() || heartbeat;
   }
 };
 
@@ -32,29 +30,15 @@ SinkConfig& sinks() {
   return *c;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    log::error("obs", "cannot open artifact for writing",
-               {log::kv("path", path)});
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 std::once_flag g_init_once;
 
 void init_impl() {
-  log::init_from_env();  // RFTC_LOG / RFTC_LOG_FILE / RFTC_LOG_RING
+  log::init_from_env();  // RFTC_LOG / RFTC_LOG_FILE
   install_postmortem_from_env();
   SinkConfig& c = sinks();
   if (const char* p = std::getenv("RFTC_OBS_TRACE")) c.trace_path = p;
-  if (const char* p = std::getenv("RFTC_OBS_TRACE_JSONL")) c.jsonl_path = p;
   if (const char* p = std::getenv("RFTC_OBS_METRICS")) c.metrics_dest = p;
-  if (!c.trace_path.empty() || !c.jsonl_path.empty())
-    Tracer::global().set_enabled(true);
+  if (!c.trace_path.empty()) Tracer::global().set_enabled(true);
   if (const char* spec = std::getenv("RFTC_OBS_HEARTBEAT")) {
     std::string path;
     std::chrono::milliseconds interval{};
@@ -83,7 +67,15 @@ bool trace_enabled() {
 std::string write_artifact(const std::string& path_spec,
                            const std::string& content) {
   const std::string path = resolve_artifact_path(path_spec);
-  return write_file(path, content) ? path : std::string();
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    log::error("obs", "cannot open artifact for writing",
+               {log::kv("path", path)});
+    return "";
+  }
+  std::fwrite(content.data(), 1, content.size(), f);
+  std::fclose(f);
+  return path;
 }
 
 void flush() {
@@ -106,8 +98,6 @@ void flush() {
   }
   if (!c.trace_path.empty())
     write_artifact(c.trace_path, Tracer::global().chrome_json());
-  if (!c.jsonl_path.empty())
-    write_artifact(c.jsonl_path, Tracer::global().jsonl());
   if (!c.metrics_dest.empty()) {
     if (c.metrics_dest == "stderr") {
       Registry::global().write_text(stderr);

@@ -4,8 +4,6 @@
 // Environment variables (read once, on first use or via init_from_env()):
 //   RFTC_OBS_TRACE=<path>           enable tracing; write Chrome trace_event
 //                                   JSON to <path> at exit / flush()
-//   RFTC_OBS_TRACE_JSONL=<path>     enable tracing; write JSON-lines
-//   RFTC_OBS_TRACE_CAPACITY=<n>     per-thread ring capacity in events
 //   RFTC_OBS_METRICS=stderr|<path>  dump the metric registry at exit:
 //                                   human-readable to stderr, JSON to <path>
 //   RFTC_OBS_HEARTBEAT=<path>[:interval_ms]
@@ -21,10 +19,11 @@
 //   RFTC_LOG=<spec>                 structured-logger levels (obs/log.hpp),
 //                                   e.g. RFTC_LOG=info,clk=debug
 //   RFTC_LOG_FILE=<path>            JSONL log sink
-//   RFTC_LOG_RING=<n>               flight-recorder records per thread
 //
 // Relative sink paths (trace/metrics/heartbeat) land under RFTC_BENCH_DIR
-// like every other artifact; absolute paths are used as-is.
+// like every other artifact; absolute paths are used as-is.  The trace
+// rings hold kTraceRingEvents events per thread and the log flight
+// recorder kLogRingRecords records per thread (obs/thread_ring.hpp).
 //
 // See docs/OBSERVABILITY.md for the metric catalogue and span names.
 #pragma once

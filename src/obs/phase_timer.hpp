@@ -1,7 +1,7 @@
 // Per-phase timing attribution: PhaseScope is an RAII scope that charges
 // its *self time* (time not spent inside a nested PhaseScope) to a named
 // phase in the process-global PhaseTimer, alongside hardware perf-counter
-// deltas when PerfCounters are available.  BenchReport snapshots the timer
+// deltas when PerfCounters are available.  RunManifest snapshots the timer
 // into the schema_version 3 "phases" block, so `rftc-report diff` can
 // attribute a wall-time regression to the phase that caused it.
 //

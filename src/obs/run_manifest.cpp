@@ -6,7 +6,8 @@
 #include <thread>
 
 #include "obs/json.hpp"
-#include "obs/log.hpp"
+#include "obs/obs.hpp"
+#include "obs/sampler.hpp"
 #include "util/env.hpp"
 
 #ifndef RFTC_GIT_SHA
@@ -40,9 +41,9 @@ Provenance Provenance::collect() {
   p.git_sha = RFTC_GIT_SHA;
   p.build_type = RFTC_BUILD_TYPE;
   // The thread default mirrors par::thread_count(), re-read from the
-  // environment because obs sits below rftc_util in the link order (see
-  // BenchReport).  The tile size shares its reader with
-  // CpaEngine::default_batch_size().
+  // environment rather than asking rftc::par: rftc_util links against
+  // rftc_obs, so obs calling into util would be a dependency cycle.  The
+  // tile size shares its reader with CpaEngine::default_batch_size().
   const std::size_t hw = std::thread::hardware_concurrency();
   p.threads = env::read_count("RFTC_THREADS", hw > 0 ? hw : 1);
   p.batch = env::cpa_batch();
@@ -63,25 +64,109 @@ std::string Provenance::to_json() const {
 }
 
 RunManifest::RunManifest(std::string name, Provenance provenance)
-    : name_(std::move(name)), provenance_(std::move(provenance)) {}
+    : name_(std::move(name)),
+      provenance_(std::move(provenance)),
+      start_(std::chrono::steady_clock::now()) {
+  // Benches are the primary profiling targets: make sure the RFTC_OBS_*
+  // sinks are armed even if no instrumented code ran yet.
+  init_from_env();
+  // Every record carries the parallelism configuration it ran under, so
+  // artifacts from different machines/settings stay comparable.
+  metric("threads", static_cast<double>(provenance_.threads), "threads");
+  metric("batch", static_cast<double>(provenance_.batch), "traces");
+  // When live telemetry is on, record where the heartbeat went so a reader
+  // of the report can find the in-flight record of the same run.
+  const HeartbeatSampler& sampler = HeartbeatSampler::global();
+  if (sampler.configured()) note("heartbeat", sampler.path());
+}
 
-void RunManifest::checkpoint(CheckpointRecord record) {
-  records_.push_back(std::move(record));
+void RunManifest::throughput(double value, std::string unit) {
+  throughput_value_ = value;
+  throughput_unit_ = std::move(unit);
+}
+
+void RunManifest::metric(const std::string& key, double value,
+                         std::string unit) {
+  metrics_.emplace_back(key, std::make_pair(value, std::move(unit)));
+}
+
+void RunManifest::note(const std::string& key, std::string value) {
+  notes_.emplace_back(key, std::move(value));
 }
 
 void RunManifest::checkpoint(
     std::string_view stream, double n,
     std::vector<std::pair<std::string, double>> values) {
-  records_.push_back(
-      {std::string(stream), n, std::move(values)});
+  records_.push_back({std::string(stream), n, std::move(values)});
 }
 
-void RunManifest::final_metric(const std::string& key, double value,
-                               std::string unit) {
-  finals_.emplace_back(key, std::make_pair(value, std::move(unit)));
+double RunManifest::elapsed_seconds() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start_)
+      .count();
+}
+
+namespace {
+
+/// {"value": v, "unit": "u"}
+std::string metric_json(double value, const std::string& unit) {
+  return "{\"value\": " + json::number(value) +
+         ", \"unit\": " + json::quote(unit) + "}";
+}
+
+}  // namespace
+
+std::string RunManifest::to_json() const {
+  return to_json(elapsed_seconds(), PhaseTimer::global().snapshot());
+}
+
+std::string RunManifest::to_json(double wall, const Phases& phases) const {
+  std::string out = "{\n";
+  out += "  \"schema_version\": 3,\n";
+  out += "  \"name\": " + json::quote(name_) + ",\n";
+  out += "  \"wall_seconds\": " + json::number(wall) + ",\n";
+  out += "  \"throughput\": " +
+         metric_json(throughput_value_, throughput_unit_) + ",\n";
+  out += "  \"phases\": {";
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const auto& [pname, stat] = phases[i];
+    if (i > 0) out += ',';
+    out += "\n    " + json::quote(pname) +
+           ": {\"seconds\": " + json::number(stat.seconds) +
+           ", \"entries\": " + std::to_string(stat.entries);
+    if (stat.has_events) {
+      for (int e = 0; e < kPerfEventCount; ++e)
+        out += ", " + json::quote(kPerfEventNames[e]) + ": " +
+               std::to_string(stat.events[static_cast<std::size_t>(e)]);
+    }
+    out += "}";
+  }
+  out += phases.empty() ? "},\n" : "\n  },\n";
+  out += "  \"provenance\": " + provenance_.to_json() + ",\n";
+  out += "  \"metrics\": {";
+  for (std::size_t i = 0; i < metrics_.size(); ++i) {
+    if (i > 0) out += ',';
+    out += "\n    " + json::quote(metrics_[i].first) + ": " +
+           metric_json(metrics_[i].second.first, metrics_[i].second.second);
+  }
+  out += metrics_.empty() ? "},\n" : "\n  },\n";
+  out += "  \"notes\": {";
+  for (std::size_t i = 0; i < notes_.size(); ++i) {
+    if (i > 0) out += ',';
+    out += "\n    " + json::quote(notes_[i].first) + ": " +
+           json::quote(notes_[i].second);
+  }
+  out += notes_.empty() ? "}\n" : "\n  }\n";
+  out += "}\n";
+  return out;
 }
 
 std::vector<std::string> RunManifest::lines() const {
+  return lines(elapsed_seconds(), PhaseTimer::global().snapshot());
+}
+
+std::vector<std::string> RunManifest::lines(double wall,
+                                            const Phases& phases) const {
   std::vector<std::string> out;
   out.reserve(records_.size() + 2);
   out.push_back("{\"kind\": \"header\", \"manifest_version\": " +
@@ -101,13 +186,13 @@ std::vector<std::string> RunManifest::lines() const {
     out.push_back(std::move(line));
   }
   std::string fin = "{\"kind\": \"final\", \"wall_seconds\": " +
-                    json::number(wall_seconds_) + ", \"metrics\": {";
-  for (std::size_t i = 0; i < finals_.size(); ++i) {
-    if (i > 0) fin += ", ";
-    fin += json::quote(finals_[i].first) +
-           ": {\"value\": " + json::number(finals_[i].second.first) +
-           ", \"unit\": " + json::quote(finals_[i].second.second) + "}";
-  }
+                    json::number(wall) + ", \"metrics\": {\"throughput\": " +
+                    metric_json(throughput_value_, throughput_unit_);
+  for (const auto& [key, m] : metrics_)
+    fin += ", " + json::quote(key) + ": " + metric_json(m.first, m.second);
+  for (const auto& [pname, stat] : phases)
+    fin += ", " + json::quote("phase." + pname + "_seconds") + ": " +
+           metric_json(stat.seconds, "s");
   fin += "}}";
   out.push_back(std::move(fin));
   return out;
@@ -118,21 +203,19 @@ std::string RunManifest::path() const {
 }
 
 std::string RunManifest::write() const {
-  const std::string p = path();
-  std::error_code ec;
-  std::filesystem::create_directories(artifact_dir() + "/runs", ec);
-  std::FILE* f = std::fopen(p.c_str(), "w");
-  if (f == nullptr) {
-    log::error("obs", "RunManifest: cannot write manifest",
-               {log::kv("path", p)});
-    return "";
-  }
-  for (const std::string& line : lines()) {
-    std::fwrite(line.data(), 1, line.size(), f);
-    std::fputc('\n', f);
-  }
-  std::fclose(f);
-  return p;
+  const double wall = elapsed_seconds();
+  const Phases phases = PhaseTimer::global().snapshot();
+  const std::string report =
+      write_artifact("BENCH_" + name_ + ".json", to_json(wall, phases));
+  if (report.empty()) return "";
+  std::printf("\n[bench-report] wrote %s\n", report.c_str());
+  std::string records;
+  for (const std::string& line : lines(wall, phases)) records += line + '\n';
+  const std::string manifest =
+      write_artifact("runs/" + name_ + ".jsonl", records);
+  if (manifest.empty()) return "";
+  std::printf("[bench-report] wrote %s\n", manifest.c_str());
+  return report;
 }
 
 }  // namespace rftc::obs

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
-#include "util/env.hpp"
+#include "obs/thread_ring.hpp"
 
 namespace rftc::obs {
 
@@ -20,14 +19,11 @@ std::uint64_t steady_now_ns() {
           .count());
 }
 
-constexpr std::size_t kDefaultRingCapacity = 1 << 16;  // events per thread
+using TraceRings = RingTable<TraceEvent, kTraceRingEvents>;
 
 }  // namespace
 
-Tracer::Tracer() : capacity_(kDefaultRingCapacity), epoch_ns_(steady_now_ns()) {
-  capacity_.store(
-      env::read_count("RFTC_OBS_TRACE_CAPACITY", kDefaultRingCapacity));
-}
+Tracer::Tracer() : epoch_ns_(steady_now_ns()) {}
 
 Tracer& Tracer::global() {
   static Tracer* t = new Tracer;  // leaked: usable from atexit handlers
@@ -36,36 +32,18 @@ Tracer& Tracer::global() {
 
 std::uint64_t Tracer::now_ns() const { return steady_now_ns() - epoch_ns_; }
 
-Tracer::ThreadBuffer::ThreadBuffer(std::size_t capacity, std::uint32_t tid_in)
-    : ring(capacity), tid(tid_in) {}
-
-Tracer::ThreadBuffer& Tracer::local_buffer() {
-  thread_local ThreadBuffer* tl = nullptr;
-  if (tl == nullptr) {
-    std::lock_guard lock(mu_);
-    buffers_.push_back(std::make_unique<ThreadBuffer>(
-        std::max<std::size_t>(capacity_.load(), 16), next_tid_++));
-    tl = buffers_.back().get();
-  }
-  return *tl;
-}
-
 void Tracer::record(TraceEvent ev) {
-  ThreadBuffer& b = local_buffer();
-  ev.tid = b.tid;
-  const std::uint64_t w = b.written.load(std::memory_order_relaxed);
+  ev.tid = thread_id();
   recorded_total_.fetch_add(1, std::memory_order_relaxed);
-  if (w >= b.ring.size()) {
-    // The slot still holds a live event: overwriting it is a drop.  Warn
-    // exactly once per process so silent ring overwrites are visible even
-    // to runs that never export the obs.trace.dropped_events gauge.
-    if (dropped_total_.fetch_add(1, std::memory_order_relaxed) == 0)
-      log::warn("obs", "trace events dropped (ring full)",
-                {log::kv("ring_capacity", static_cast<double>(b.ring.size())),
-                 log::kv("hint", "raise RFTC_OBS_TRACE_CAPACITY")});
-  }
-  b.ring[static_cast<std::size_t>(w % b.ring.size())] = ev;
-  b.written.store(w + 1, std::memory_order_release);
+  TraceRings::Ring* ring = TraceRings::local();
+  // Overwriting a live slot, or having no ring at all, is a drop.  Warn
+  // exactly once per process so lost events are visible even to runs that
+  // never export the obs.trace.dropped_events gauge.
+  const bool dropped = ring == nullptr || ring->push(ev);
+  if (dropped && dropped_total_.fetch_add(1, std::memory_order_relaxed) == 0)
+    log::warn("obs", "trace events dropped (ring or ring table full)",
+              {log::kv("ring_capacity", static_cast<double>(kTraceRingEvents)),
+               log::kv("max_rings", static_cast<double>(kMaxThreadRings))});
 }
 
 void Tracer::instant(const char* cat, const char* name, TraceArg a,
@@ -85,16 +63,10 @@ void Tracer::instant(const char* cat, const char* name, TraceArg a,
 
 std::vector<TraceEvent> Tracer::snapshot() const {
   std::vector<TraceEvent> out;
-  {
-    std::lock_guard lock(mu_);
-    for (const auto& b : buffers_) {
-      const std::uint64_t written = b->written.load(std::memory_order_acquire);
-      const std::uint64_t n =
-          std::min<std::uint64_t>(written, b->ring.size());
-      for (std::uint64_t i = written - n; i < written; ++i)
-        out.push_back(b->ring[static_cast<std::size_t>(i % b->ring.size())]);
-    }
-  }
+  TraceRings::for_each([&](const TraceRings::Ring& ring) {
+    ring.for_recent(kTraceRingEvents,
+                    [&](const TraceEvent& ev) { out.push_back(ev); });
+  });
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_ns < b.ts_ns;
@@ -149,27 +121,11 @@ std::string Tracer::chrome_json() const {
   return out;
 }
 
-std::string Tracer::jsonl() const {
-  const std::vector<TraceEvent> events = snapshot();
-  std::string out;
-  for (const TraceEvent& ev : events) {
-    append_event_json(out, ev);
-    out += '\n';
-  }
-  return out;
-}
-
 void Tracer::clear() {
-  std::lock_guard lock(mu_);
-  for (const auto& b : buffers_)
-    b->written.store(0, std::memory_order_relaxed);
+  TraceRings::for_each([](TraceRings::Ring& ring) {
+    ring.written.store(0, std::memory_order_relaxed);
+  });
 }
-
-void Tracer::set_ring_capacity(std::size_t events) {
-  capacity_.store(std::max<std::size_t>(events, 16));
-}
-
-std::size_t Tracer::ring_capacity() const { return capacity_.load(); }
 
 Span::Span(const char* cat, const char* name) : cat_(cat), name_(name) {
   if (trace_enabled()) {

@@ -1,23 +1,24 @@
 // Structured event tracing: scoped spans and instant events recorded into
-// lock-free per-thread ring buffers, exported as Chrome `trace_event` JSON
-// (loadable in chrome://tracing or https://ui.perfetto.dev) or as JSON
-// lines.
+// lock-free per-thread rings (obs/thread_ring.hpp, kTraceRingEvents events
+// each), exported as Chrome `trace_event` JSON (loadable in
+// chrome://tracing or https://ui.perfetto.dev).
 //
 // Hot-path contract: when tracing is disabled a Span costs one predictable
 // branch; when enabled, recording an event is one steady_clock read plus a
 // handful of stores into the calling thread's own ring (no locks, no
 // allocation after the ring is created).  Rings keep the *most recent*
 // events — older events are overwritten and counted as dropped, matching
-// chrome://tracing's flight-recorder semantics.
+// chrome://tracing's flight-recorder semantics.  A thread past the ring
+// table's kMaxThreadRings slots records nothing; its events count as
+// dropped too.
 //
 // Event `name`/`cat` and argument keys must be string literals (or otherwise
 // outlive the tracer): only the pointer is stored.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,9 @@
 #endif
 
 namespace rftc::obs {
+
+/// Events each thread's trace ring holds.
+inline constexpr std::size_t kTraceRingEvents = 1 << 16;
 
 /// One numeric span/event argument.  Keys are static strings.
 struct TraceArg {
@@ -57,7 +61,8 @@ class Tracer {
   /// Nanoseconds since the tracer's epoch (process start, steady clock).
   std::uint64_t now_ns() const;
 
-  /// Appends to the calling thread's ring.  `ev.tid` is filled in.
+  /// Appends to the calling thread's ring.  `ev.tid` is filled in with
+  /// obs::thread_id().
   void record(TraceEvent ev);
 
   /// Records an instant event if tracing is enabled.
@@ -67,7 +72,8 @@ class Tracer {
   /// All buffered events from every thread, merged and sorted by timestamp.
   std::vector<TraceEvent> snapshot() const;
 
-  /// Total record() calls / events overwritten in some ring.  Monotonic
+  /// Total record() calls / events overwritten in some ring or recorded by
+  /// a thread that got no ring.  Monotonic
   /// process-lifetime tallies (NOT reset by clear()), read lock-free so the
   /// crash-path post-mortem writer and heartbeat sampler can sample them.
   std::uint64_t recorded() const {
@@ -79,35 +85,16 @@ class Tracer {
 
   /// Chrome trace_event "JSON Array Format".
   std::string chrome_json() const;
-  /// One JSON object per line, same fields.
-  std::string jsonl() const;
 
   /// Discards all buffered events (rings stay allocated).
   void clear();
 
-  /// Ring capacity, in events per thread, for rings created *after* the
-  /// call.  Also settable via RFTC_OBS_TRACE_CAPACITY.
-  void set_ring_capacity(std::size_t events);
-  std::size_t ring_capacity() const;
-
  private:
-  struct ThreadBuffer {
-    ThreadBuffer(std::size_t capacity, std::uint32_t tid);
-    std::vector<TraceEvent> ring;
-    std::atomic<std::uint64_t> written{0};
-    std::uint32_t tid = 0;
-  };
-
   Tracer();
-  ThreadBuffer& local_buffer();
 
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
   std::atomic<bool> enabled_{false};
-  std::atomic<std::size_t> capacity_;
   std::atomic<std::uint64_t> recorded_total_{0};
   std::atomic<std::uint64_t> dropped_total_{0};
-  std::uint32_t next_tid_ = 1;
   std::uint64_t epoch_ns_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "aes/aes128.hpp"
@@ -51,12 +50,6 @@ class TraceSet {
     t1 = std::min(t1, size());
     if (t0 < t1) fn(*this, t0, t1);
   }
-
-  /// Persist/restore a campaign as a binary .rtrc file (little-endian
-  /// header + plaintexts + ciphertexts + float32 trace matrix), so long
-  /// acquisitions can be captured once and attacked repeatedly.
-  void save(const std::string& path) const;
-  static TraceSet load(const std::string& path);
 
  private:
   std::size_t n_samples_;

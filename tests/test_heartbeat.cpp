@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/bench_report.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -400,7 +399,7 @@ TEST(BenchReportSchema3, PhasesBlockRoundTripsThroughParser) {
     PhaseScope scope(kPhaseCpaKernel);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  BenchReport report("hb_schema3");
+  RunManifest report("hb_schema3");
   report.metric("answer", 42.0, "");
   const std::string body = report.to_json();
   const json::Value doc = json::parse(body);
@@ -430,7 +429,7 @@ TEST(ArtifactRouting, AllFourArtifactKindsLandUnderBenchDir) {
   EnvGuard guard("RFTC_BENCH_DIR", dir);
 
   // 1+2: bench report JSON and the runs/ manifest.
-  BenchReport report("hb_routing");
+  RunManifest report("hb_routing");
   report.metric("answer", 1.0, "");
   EXPECT_EQ(report.write(), dir + "/BENCH_hb_routing.json");
   EXPECT_TRUE(std::filesystem::exists(dir + "/BENCH_hb_routing.json"));

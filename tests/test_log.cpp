@@ -196,33 +196,32 @@ TEST_F(LogTest, FlightRecorderKeepsMostRecentAcrossThreads) {
   }
 }
 
-TEST_F(LogTest, RingCapacityEnforcesMinimum) {
-  const std::size_t saved = ring_capacity();
-  set_ring_capacity(4);
-  EXPECT_EQ(ring_capacity(), 16u);
-  set_ring_capacity(128);
-  EXPECT_EQ(ring_capacity(), 128u);
-  set_ring_capacity(saved);
-}
-
 TEST_F(LogTest, RingBoundsRecordsPerThread) {
   configure(parse_spec("debug"));
-  const std::size_t saved = ring_capacity();
-  set_ring_capacity(16);
-  // Flood a fresh thread's ring far past capacity: only the most recent 16
-  // survive, and the tail never exceeds what was asked for.
+  // Flood a fresh thread's ring 100 records past capacity: only the most
+  // recent kLogRingRecords survive, and the tail never exceeds what was
+  // asked for.
+  constexpr std::size_t kFlood = kLogRingRecords + 100;
   std::thread([] {
-    for (int i = 0; i < 100; ++i)
+    for (std::size_t i = 0; i < kFlood; ++i)
       debug("test", "flood-" + std::to_string(i));
   }).join();
-  set_ring_capacity(saved);
 
   const std::vector<Record> tail = flight_recorder_tail(16);
   ASSERT_EQ(tail.size(), 16u);
-  // The 16 survivors are exactly flood-84 .. flood-99, in order.
+  // The 16 most recent are exactly the last 16 floods, in order.
   for (std::size_t i = 0; i < tail.size(); ++i)
     EXPECT_EQ(std::string(tail[i].text),
-              "flood-" + std::to_string(84 + i));
+              "flood-" + std::to_string(kFlood - 16 + i));
+  // Asking for more than one ring holds still yields only the flood
+  // ring's kLogRingRecords survivors: flood-100 .. the last, in order.
+  std::vector<std::string> survivors;
+  for (const Record& rec : flight_recorder_tail(kLogRingRecords + 64))
+    if (std::string_view(rec.text).starts_with("flood-"))
+      survivors.emplace_back(rec.text);
+  ASSERT_EQ(survivors.size(), kLogRingRecords);
+  for (std::size_t i = 0; i < survivors.size(); ++i)
+    EXPECT_EQ(survivors[i], "flood-" + std::to_string(100 + i));
 }
 
 TEST_F(LogTest, LongMessagesAndSubsystemsAreTruncatedSafely) {

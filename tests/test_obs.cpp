@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/thread_ring.hpp"
 #include "obs/trace_event.hpp"
 
 namespace rftc::obs {
@@ -209,6 +213,14 @@ TEST(ObsJson, ParserRejectsMalformedInput) {
   EXPECT_THROW(json::parse("[1,]"), std::runtime_error);
   EXPECT_THROW(json::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(json::parse("'single'"), std::runtime_error);
+  // RFC 8259 numbers: no leading zeros, bare fractions, bare exponents or
+  // plus signs, and nothing a double cannot hold.
+  for (const char* bad : {"050", ".5", "1.", "+1", "-", "1e", "1e+", "[01]",
+                          "1e400", "-1e400"})
+    EXPECT_THROW(json::parse(bad), std::runtime_error) << bad;
+  // Raw control characters must be escaped inside strings.
+  EXPECT_THROW(json::parse("\"a\tb\""), std::runtime_error);
+  EXPECT_THROW(json::parse("\"a\x01\""), std::runtime_error);
 }
 
 TEST(ObsJson, ParsesNestedDocument) {
@@ -317,40 +329,52 @@ TEST_F(ObsTracer, ChromeJsonRoundTripsThroughParser) {
   ASSERT_NE(inst_ev.find("s"), nullptr);  // instant scope
 }
 
-TEST_F(ObsTracer, JsonlEmitsOneParseableObjectPerLine) {
-  Tracer::global().instant("test", "obs.l1");
-  Tracer::global().instant("test", "obs.l2");
-  const std::string lines = Tracer::global().jsonl();
-  std::size_t start = 0, n = 0;
-  while (start < lines.size()) {
-    std::size_t end = lines.find('\n', start);
-    if (end == std::string::npos) end = lines.size();
-    const std::string_view line(lines.data() + start, end - start);
-    if (!line.empty()) {
-      EXPECT_TRUE(json::parse(line).is_object());
-      ++n;
-    }
-    start = end + 1;
-  }
-  EXPECT_EQ(n, 2u);
-}
-
 TEST_F(ObsTracer, RingOverwritesOldestAndCountsDrops) {
   Tracer& tracer = Tracer::global();
-  const std::size_t saved = tracer.ring_capacity();
-  tracer.set_ring_capacity(16);  // 16 is the enforced minimum
   const std::uint64_t dropped_before = tracer.dropped();
-  // A fresh thread gets a fresh ring at the new capacity.
+  // A fresh thread gets a fresh ring; flood it 24 events past capacity.
   std::thread([] {
-    for (int i = 0; i < 40; ++i)
+    for (std::size_t i = 0; i < kTraceRingEvents + 24; ++i)
       Tracer::global().instant("test", "obs.flood");
   }).join();
-  tracer.set_ring_capacity(saved);
   std::size_t flood = 0;
   for (const auto& ev : tracer.snapshot())
     if (std::string_view(ev.name) == "obs.flood") ++flood;
-  EXPECT_EQ(flood, 16u);  // most recent 16 of 40 survive
+  EXPECT_EQ(flood, kTraceRingEvents);  // only the most recent survive
   EXPECT_EQ(tracer.dropped() - dropped_before, 24u);
+}
+
+TEST_F(ObsTracer, ConcurrentThreadsStampOneIdOnEventsAndLogRecords) {
+  // Threads register their trace and flight-recorder rings concurrently,
+  // and each stamps the same obs::thread_id() into both.
+  constexpr int kThreads = 4;
+  constexpr int kEvents = 100;
+  const log::LevelSpec saved = log::current_spec();
+  log::configure(log::parse_spec("debug"));
+  log::set_stderr_sink(false);
+  std::vector<std::uint32_t> ids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &ids] {
+      ids[static_cast<std::size_t>(t)] = thread_id();
+      for (int i = 0; i < kEvents; ++i)
+        Tracer::global().instant("test", "obs.concurrent");
+      log::debug("test", "concurrent-id");
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  log::set_stderr_sink(true);
+  log::configure(saved);
+
+  std::map<std::uint32_t, int> events_per_tid;
+  for (const TraceEvent& ev : Tracer::global().snapshot())
+    if (std::string_view(ev.name) == "obs.concurrent") ++events_per_tid[ev.tid];
+  ASSERT_EQ(events_per_tid.size(), static_cast<std::size_t>(kThreads));
+  for (const std::uint32_t id : ids) EXPECT_EQ(events_per_tid[id], kEvents);
+  std::set<std::uint32_t> log_tids;
+  for (const log::Record& rec : log::flight_recorder_tail(64))
+    if (std::string_view(rec.text) == "concurrent-id") log_tids.insert(rec.tid);
+  EXPECT_EQ(log_tids, std::set<std::uint32_t>(ids.begin(), ids.end()));
 }
 
 TEST_F(ObsTracer, FlushSurfacesDropCountAsGauge) {
@@ -363,13 +387,10 @@ TEST_F(ObsTracer, FlushSurfacesDropCountAsGauge) {
   EXPECT_EQ(g.value(), static_cast<double>(Tracer::global().dropped()));
 
   Tracer& tracer = Tracer::global();
-  const std::size_t saved = tracer.ring_capacity();
-  tracer.set_ring_capacity(16);
   std::thread([] {
-    for (int i = 0; i < 20; ++i)
+    for (std::size_t i = 0; i < kTraceRingEvents + 4; ++i)
       Tracer::global().instant("test", "obs.flood_gauge");
   }).join();
-  tracer.set_ring_capacity(saved);
   flush();
   EXPECT_EQ(g.value(), static_cast<double>(tracer.dropped()));
   EXPECT_GE(g.value(), 4.0);

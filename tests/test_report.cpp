@@ -10,7 +10,6 @@
 #include <sstream>
 #include <string>
 
-#include "obs/bench_report.hpp"
 #include "obs/report_diff.hpp"
 #include "obs/run_manifest.hpp"
 #include "scratch.hpp"
@@ -49,9 +48,8 @@ RunManifest sample_manifest() {
   RunManifest m("sample", prov);
   m.checkpoint("tvla", 100, {{"max_abs_t", 2.5}, {"leaking_samples", 0}});
   m.checkpoint("tvla", 1000, {{"max_abs_t", 4.0}, {"leaking_samples", 2}});
-  m.final_metric("max_abs_t", 4.0, "|t|");
-  m.final_metric("wall_hint_seconds", 12.0, "s");
-  m.wall_seconds(12.5);
+  m.metric("max_abs_t", 4.0, "|t|");
+  m.metric("wall_hint_seconds", 12.0, "s");
   return m;
 }
 
@@ -90,7 +88,7 @@ TEST(RunManifest, WritesUnderRftcBenchDir) {
   BenchDirGuard guard(dir);
   const RunManifest m = sample_manifest();
   EXPECT_EQ(m.path(), dir + "/runs/sample.jsonl");
-  EXPECT_EQ(m.write(), m.path());
+  EXPECT_EQ(m.write(), dir + "/BENCH_sample.json");
   EXPECT_TRUE(std::filesystem::exists(m.path()));
   std::filesystem::remove_all(dir);
 }
@@ -98,7 +96,7 @@ TEST(RunManifest, WritesUnderRftcBenchDir) {
 TEST(BenchReport, WritesReportAndManifestUnderRftcBenchDir) {
   const std::string dir = test::scratch_path("bench");
   BenchDirGuard guard(dir);
-  BenchReport report("routing");
+  RunManifest report("routing");
   report.seed(7);
   report.metric("answer", 42.0, "");
   EXPECT_EQ(report.write(), dir + "/BENCH_routing.json");
@@ -200,7 +198,7 @@ TEST(ReportDiff, IgnoredKeysNeverFail) {
 }
 
 TEST(ReportDiff, BenchJsonRoundTrips) {
-  BenchReport report("bench_diff");
+  RunManifest report("bench_diff");
   report.seed(3);
   report.metric("figure", 1.25, "x");
   report.metric("elapsed", 2.0, "s");

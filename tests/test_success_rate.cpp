@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <span>
 
 #include "rftc/device.hpp"
 #include "sched/fixed_clock.hpp"
@@ -34,12 +36,12 @@ TEST(SuccessRate, ValidatesParameters) {
   AttackParams attack;
   SuccessRateParams bad;
   EXPECT_THROW(estimate_success_rate(unprotected_factory(), aes::Block{},
-                                     attack, bad),
+                                     std::span(&attack, 1), bad),
                std::invalid_argument);
   bad.checkpoints = {10};
   bad.repeats = 0;
   EXPECT_THROW(estimate_success_rate(unprotected_factory(), aes::Block{},
-                                     attack, bad),
+                                     std::span(&attack, 1), bad),
                std::invalid_argument);
 }
 
@@ -51,7 +53,8 @@ TEST(SuccessRate, UnprotectedCurveRisesToOne) {
   sr.checkpoints = {500, 1'500, 3'000};
   sr.repeats = 3;
   const SuccessRateCurve curve = estimate_success_rate(
-      unprotected_factory(), aes::expand_key(test_key())[10], attack, sr);
+      unprotected_factory(), aes::expand_key(test_key())[10],
+      std::span(&attack, 1), sr)[0];
   ASSERT_EQ(curve.checkpoints.size(), 3u);
   EXPECT_EQ(curve.success_rate.back(), 1.0);
   // Mean rank improves as traces accumulate.
@@ -74,10 +77,38 @@ TEST(SuccessRate, WrongKeyNeverSucceeds) {
   sr.repeats = 2;
   aes::Block wrong_key{};
   wrong_key.fill(0xEE);
-  const SuccessRateCurve curve =
-      estimate_success_rate(unprotected_factory(), wrong_key, attack, sr);
+  const SuccessRateCurve curve = estimate_success_rate(
+      unprotected_factory(), wrong_key, std::span(&attack, 1), sr)[0];
   EXPECT_EQ(curve.success_rate.back(), 0.0);
   EXPECT_EQ(curve.traces_to_reach(0.5), 0u);
+}
+
+TEST(SuccessRate, AttacksShareOneCampaignPerRepeat) {
+  AttackParams byte0;
+  byte0.byte_positions = {0};
+  AttackParams byte3 = byte0;
+  byte3.byte_positions = {3};
+  const std::array<AttackParams, 2> attacks{byte0, byte3};
+  SuccessRateParams sr;
+  sr.checkpoints = {300, 900};
+  sr.repeats = 2;
+  const aes::Block rk10 = aes::expand_key(test_key())[10];
+  int captures = 0;
+  const CampaignFactory counted = [&](std::uint64_t repeat, std::size_t n) {
+    ++captures;
+    return unprotected_factory()(repeat, n);
+  };
+  const std::vector<SuccessRateCurve> curves =
+      estimate_success_rate(counted, rk10, attacks, sr);
+  EXPECT_EQ(captures, 2);  // one campaign per repeat, not per attack
+  ASSERT_EQ(curves.size(), attacks.size());
+  // Scoring together changes nothing: each curve equals its solo run.
+  for (std::size_t a = 0; a < attacks.size(); ++a) {
+    const SuccessRateCurve solo = estimate_success_rate(
+        unprotected_factory(), rk10, std::span(&attacks[a], 1), sr)[0];
+    EXPECT_EQ(curves[a].success_rate, solo.success_rate);
+    EXPECT_EQ(curves[a].mean_rank, solo.mean_rank);
+  }
 }
 
 TEST(SuccessRate, TracesToReachHonoursLevel) {
