@@ -10,12 +10,14 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "aes/leakage.hpp"
 #include "aes/round_engine.hpp"
+#include "analysis/attacks.hpp"
 #include "analysis/cpa.hpp"
 #include "analysis/dtw.hpp"
 #include "analysis/fft.hpp"
@@ -212,6 +214,31 @@ void BM_DtwAlign(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis::dtw_align(ref, tr, {.band = 16}));
 }
 BENCHMARK(BM_DtwAlign)->Arg(125)->Arg(250);
+
+// The call DTW-CPA makes per trace: dtw_align_into at the attack's own
+// DtwParams (band 8, P=1 slope constraint) into a reused output buffer.
+// Iterations cycle through 64 distinct traces, as a campaign does, so the
+// branch predictor cannot learn one input's data-dependent branches.
+void BM_DtwAlignInto(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kTraces = 64;
+  Xoshiro256StarStar rng(3);
+  std::vector<double> ref(n);
+  for (double& v : ref) v = rng.gaussian();
+  std::vector<float> traces(kTraces * n);
+  for (float& v : traces) v = static_cast<float>(rng.gaussian());
+  const analysis::DtwParams params = analysis::AttackParams{}.dtw;
+  std::vector<float> out;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const std::span<const float> tr(traces.data() + k * n, n);
+    analysis::dtw_align_into(ref, tr, params, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    k = (k + 1) % kTraces;
+  }
+}
+BENCHMARK(BM_DtwAlignInto)->Arg(125);
 
 void BM_Fft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

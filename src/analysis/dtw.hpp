@@ -7,9 +7,10 @@
 // engineering choice for attack campaigns on long traces; with the window
 // at n the implementation degenerates to the full DP.  DTW-CPA calls only
 // dtw_align; dtw_distance is the same banded DP without the warp path.
-// All DP scratch (rolling rows, move matrices, backtrack accumulators)
-// lives in per-thread reusable workspaces, so steady-state calls allocate
-// nothing.
+// Both aligners keep O(band) work per row: rolling DP rows plus one banded
+// step matrix for the backtrack.  All DP scratch (rolling rows, step
+// matrix, backtrack accumulators) lives in per-thread reusable workspaces,
+// so steady-state calls allocate nothing.
 #pragma once
 
 #include <cstddef>
