@@ -215,30 +215,28 @@ CpaSnapshot parse_snapshot(std::span<const unsigned char> blob,
 
 }  // namespace
 
-std::vector<unsigned char> CpaEngine::serialize() const {
+std::uint32_t CpaEngine::serialize(wire::Writer& out) const {
   flush();  // the blob must not depend on tile boundaries
-  const std::size_t cross = class_w_.size() + class_d_.size();
+  out.magic(kCpaMagic);
+  out.u32(kEngineTag);
+  out.u32(model_ == aes::LeakageModel::kLastRoundHd ? 0u : 1u);
+  out.u64(samples_);
+  out.u64(bytes_.size());
+  out.u64(n_);
+  for (const int b : bytes_) out.u32(static_cast<std::uint32_t>(b));
+  out.array(sum_t_.data(), sum_t_.size());
+  out.array(sum_t2_.data(), sum_t2_.size());
+  out.array(sum_h_.data(), sum_h_.size());
+  out.array(sum_h2_.data(), sum_h2_.size());
+  out.array(class_w_.data(), class_w_.size());
+  out.array(class_d_.data(), class_d_.size());
+  return out.seal();
+}
+
+std::vector<unsigned char> CpaEngine::serialize() const {
   std::vector<unsigned char> out;
-  out.reserve(8 + 2 * sizeof(std::uint32_t) + 3 * sizeof(std::uint64_t) +
-              bytes_.size() * sizeof(std::uint32_t) +
-              (sum_t_.size() + sum_t2_.size() + sum_h_.size() + sum_h2_.size() +
-               cross) *
-                  sizeof(double) +
-              sizeof(std::uint32_t));
-  wire::put_magic(out, kCpaMagic);
-  wire::put_u32(out, kEngineTag);
-  wire::put_u32(out, model_ == aes::LeakageModel::kLastRoundHd ? 0u : 1u);
-  wire::put_u64(out, samples_);
-  wire::put_u64(out, bytes_.size());
-  wire::put_u64(out, n_);
-  for (const int b : bytes_) wire::put_u32(out, static_cast<std::uint32_t>(b));
-  wire::put_array(out, sum_t_.data(), sum_t_.size());
-  wire::put_array(out, sum_t2_.data(), sum_t2_.size());
-  wire::put_array(out, sum_h_.data(), sum_h_.size());
-  wire::put_array(out, sum_h2_.data(), sum_h2_.size());
-  wire::put_array(out, class_w_.data(), class_w_.size());
-  wire::put_array(out, class_d_.data(), class_d_.size());
-  wire::seal(out);
+  wire::Writer w(wire::append_to(out));
+  serialize(w);
   return out;
 }
 

@@ -62,6 +62,7 @@
 
 namespace rftc::wire {
 class Reader;
+class Writer;
 }  // namespace rftc::wire
 
 namespace rftc::analysis {
@@ -130,6 +131,12 @@ class CpaEngine {
   /// constructs the engine and folds the arrays in through the same code as
   /// merge(blob); corrupt, truncated or wrong-magic payloads throw
   /// std::runtime_error instead of merging garbage.
+  ///
+  /// The Writer overload is the one serializer: it streams the snapshot
+  /// straight from the accumulator arrays into `out` (a file, for a
+  /// distributed worker) and returns its seal, the CRC-32 of the bytes
+  /// before the trailer; the blob overload is that stream into memory.
+  std::uint32_t serialize(wire::Writer& out) const;
   std::vector<unsigned char> serialize() const;
   static CpaEngine deserialize(std::span<const unsigned char> blob);
 

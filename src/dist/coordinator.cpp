@@ -175,24 +175,35 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   CampaignResult result;
   result.shards_total = shards.size();
-  // One snapshot buffer, reused across shards; `held` names the shard whose
-  // verified bytes it holds when that shard is next in range order.
-  std::string snapshot;
-  std::optional<std::size_t> held;
 
   // Resume scan: a shard whose manifest checkpoint still matches its
-  // snapshot survived the previous run (however it died) and is reused.
-  std::vector<bool> done_flags(shards.size(), false);
+  // snapshot, body CRC included, survived the previous run (however it
+  // died) and is reused.  `done` holds each complete shard's manifest.
+  std::vector<std::optional<ShardDone>> done(shards.size());
   std::vector<std::size_t> queue;
   for (const ShardRange& shard : shards) {
     const std::string stem = shard_stem(dir, shard.index);
-    if (shard_complete(shard, stem + ".acc", stem + ".done.json", snapshot)) {
-      done_flags[shard.index] = true;
+    done[shard.index] =
+        shard_complete(shard, stem + ".acc", stem + ".done.json");
+    if (done[shard.index])
       ++result.shards_reused;
-    } else {
+    else
       queue.push_back(shard.index);
-    }
   }
+
+  // The dispatch state.  A shard never attempted in this run is a reused
+  // one.
+  std::map<pid_t, std::size_t> running;
+  std::vector<std::size_t> attempts(shards.size(), 0);
+  std::vector<std::size_t> failed;
+  const auto retry_or_fail = [&](std::size_t idx) {
+    if (attempts[idx] <= options.retries) {
+      ++result.worker_restarts;
+      queue.push_back(idx);
+    } else {
+      failed.push_back(idx);
+    }
+  };
 
   // The merged prefix.  Shards fold in range order, and the prefix is
   // scored the moment it reaches a checkpoint.  Every eval cut is a shard
@@ -206,21 +217,47 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     key = spec.key();
     result.attack.kind = analysis::AttackKind::kCpa;
   }
+  // One snapshot buffer, reused across folds: each snapshot is read once
+  // here and CRC'd once, by the parse inside merge/deserialize.
+  std::string snapshot;
   std::size_t next_fold = 0, next_cp = 0;
   const auto fold_next = [&] {
-    const ShardRange& shard = shards[next_fold++];
-    // Only a shard that completed out of range order (or was reused) is
-    // read again here; the fold re-checks its CRC either way.
-    if (held != shard.index)
-      read_file(shard_stem(dir, shard.index) + ".acc", snapshot);
-    held.reset();
-    const std::span<const unsigned char> blob = as_bytes(snapshot);
+    const ShardRange& shard = shards[next_fold];
     RFTC_OBS_SPAN(span, "dist", "fold");
+    // Verify, then add: the size and seal must be the manifest's, and the
+    // parse checks the body against the seal before any element is added,
+    // so a rejected snapshot leaves the merged prefix untouched.
+    std::optional<WelchTTest> welch;
+    try {
+      read_file(shard_stem(dir, shard.index) + ".acc", snapshot);
+      if (!snapshot_matches(*done[shard.index], snapshot))
+        throw std::runtime_error(
+            "run_campaign: shard snapshot does not match its manifest");
+      const std::span<const unsigned char> blob = as_bytes(snapshot);
+      if (spec.kind == CampaignKind::kAttack) {
+        if (!merged_cpa)
+          merged_cpa.emplace(analysis::CpaEngine::deserialize(blob));
+        else
+          merged_cpa->merge(blob);
+      } else {
+        welch.emplace(WelchTTest::deserialize(blob));
+        if (welch->samples() != tvla_samples)
+          throw std::runtime_error(
+              "run_campaign: shard snapshot sample count mismatch");
+      }
+    } catch (const std::exception& e) {
+      // A reused shard has no worker to blame: fail the campaign.  One
+      // produced in this run is a failed attempt, retried like a crash.
+      if (attempts[shard.index] == 0) throw;
+      obs::log::warn("dist", "shard snapshot failed its fold check",
+                     {obs::log::kv("shard", static_cast<double>(shard.index)),
+                      obs::log::kv("error", e.what())});
+      done[shard.index].reset();
+      retry_or_fail(shard.index);
+      return;
+    }
+    ++next_fold;
     if (spec.kind == CampaignKind::kAttack) {
-      if (!merged_cpa)
-        merged_cpa.emplace(analysis::CpaEngine::deserialize(blob));
-      else
-        merged_cpa->merge(blob);
       // Duplicate checkpoints evaluate twice, exactly like run_attack.
       for (; next_cp < eval_cuts.size() && eval_cuts[next_cp] == shard.t1;
            ++next_cp)
@@ -228,14 +265,10 @@ CampaignResult run_campaign(const CampaignSpec& spec,
             eval_cuts[next_cp],
             analysis::evaluate_attack_checkpoint(*merged_cpa, key));
     } else {
-      WelchTTest test = WelchTTest::deserialize(blob);
-      if (test.samples() != tvla_samples)
-        throw std::runtime_error(
-            "run_campaign: shard snapshot sample count mismatch");
       if (!merged_welch)
-        merged_welch.emplace(std::move(test));
+        merged_welch.emplace(std::move(*welch));
       else
-        merged_welch->merge(test);
+        merged_welch->merge(*welch);
       // Convergence entries at tvla_checkpoints — the same points run_tvla
       // records before its final entry.
       if (shard.t1 < paired &&
@@ -252,17 +285,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // via waitpid, bounded retries, and the in-order fold of every completed
   // shard while the others still run.  Any terminal failure leaves the
   // directory resumable.
-  std::map<pid_t, std::size_t> running;
-  std::vector<std::size_t> attempts(shards.size(), 0);
-  std::vector<std::size_t> failed;
-  const auto retry_or_fail = [&](std::size_t idx) {
-    if (attempts[idx] <= options.retries) {
-      ++result.worker_restarts;
-      queue.push_back(idx);
-    } else {
-      failed.push_back(idx);
-    }
-  };
   const auto reap = [&](pid_t pid, int status) {
     const auto it = running.find(pid);
     if (it == running.end()) return;  // not one of ours
@@ -270,12 +292,15 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     running.erase(it);
     const std::string stem = shard_stem(dir, idx);
     if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-      // The buffer is about to be reused: fold the shard it holds first.
-      if (held) fold_next();
-      if (shard_complete(shards[idx], stem + ".acc", stem + ".done.json",
-                         snapshot)) {
-        done_flags[idx] = true;
-        if (idx == next_fold) held = idx;
+      // Only the manifest and the snapshot's size here, so the slot is
+      // refilled at once; the fold reads and verifies the bytes.
+      std::optional<ShardDone> d = read_done(shards[idx], stem + ".done.json");
+      std::error_code ec;
+      if (d && fs::file_size(stem + ".acc", ec) == d->acc_bytes && !ec) {
+        result.accumulate_us += d->accumulate_us;
+        result.write_us += d->write_us;
+        result.sync_us += d->sync_us;
+        done[idx] = std::move(d);
         return;
       }
     }
@@ -310,7 +335,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         else
           running.emplace(pid, idx);
       }
-      const bool foldable = next_fold < shards.size() && done_flags[next_fold];
+      const bool foldable =
+          next_fold < shards.size() && done[next_fold].has_value();
       if (running.empty() && !foldable) break;
       if (!running.empty()) {
         // Reap first, so a freed slot is refilled before the coordinator

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "analysis/attacks.hpp"
@@ -44,6 +45,12 @@ struct CampaignResult {
   std::size_t shards_reused = 0;
   /// Failed shard attempts that were retried with a fresh worker.
   std::size_t worker_restarts = 0;
+  /// Worker phase times (ShardDone::accumulate_us / write_us / sync_us)
+  /// summed over the shard attempts of this run that exited with a valid
+  /// manifest, in microseconds.  Reused shards add nothing.
+  std::uint64_t accumulate_us = 0;
+  std::uint64_t write_us = 0;
+  std::uint64_t sync_us = 0;
 };
 
 /// Runs one distributed campaign to completion.  The merged result is

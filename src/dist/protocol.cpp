@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -13,9 +14,12 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "util/crc32.hpp"
+#include "util/wire.hpp"
 
 namespace rftc::dist {
 
@@ -229,7 +233,10 @@ std::string done_to_json(const ShardDone& done) {
   out << "{\"dist_schema\":" << kDistSchema
       << ",\"shard\":" << done.shard.index << ",\"t0\":" << done.shard.t0
       << ",\"t1\":" << done.shard.t1 << ",\"acc_bytes\":" << done.acc_bytes
-      << ",\"acc_crc32\":" << done.acc_crc << ",\"status\":\"done\"}\n";
+      << ",\"acc_crc32\":" << done.acc_crc
+      << ",\"accumulate_us\":" << done.accumulate_us
+      << ",\"write_us\":" << done.write_us << ",\"sync_us\":" << done.sync_us
+      << ",\"status\":\"done\"}\n";
   return out.str();
 }
 
@@ -244,28 +251,43 @@ ShardDone done_from_json(std::string_view text) {
   done.acc_bytes = member_u64(v, "acc_bytes");
   done.acc_crc = static_cast<std::uint32_t>(
       member_u64(v, "acc_crc32", UINT32_MAX));
+  done.accumulate_us = member_u64(v, "accumulate_us");
+  done.write_us = member_u64(v, "write_us");
+  done.sync_us = member_u64(v, "sync_us");
   return done;
 }
 
-bool shard_complete(const ShardRange& shard, const std::string& acc_path,
-                    const std::string& done_path, std::string& acc) {
+std::optional<ShardDone> read_done(const ShardRange& shard,
+                                   const std::string& done_path) {
   try {
     const ShardDone done = done_from_json(read_file(done_path));
-    if (done.shard.index != shard.index || done.shard.t0 != shard.t0 ||
-        done.shard.t1 != shard.t1)
-      return false;
-    read_file(acc_path, acc);
-    return acc.size() == done.acc_bytes &&
-           util::crc32(acc.data(), acc.size()) == done.acc_crc;
+    if (done.shard.index == shard.index && done.shard.t0 == shard.t0 &&
+        done.shard.t1 == shard.t1)
+      return done;
   } catch (const std::exception&) {
-    return false;
   }
+  return std::nullopt;
 }
 
-bool shard_complete(const ShardRange& shard, const std::string& acc_path,
-                    const std::string& done_path) {
-  std::string acc;
-  return shard_complete(shard, acc_path, done_path, acc);
+bool snapshot_matches(const ShardDone& done, std::string_view acc) {
+  return acc.size() == done.acc_bytes && acc.size() >= 4 &&
+         wire::seal_of({reinterpret_cast<const unsigned char*>(acc.data()),
+                        acc.size()}) == done.acc_crc;
+}
+
+std::optional<ShardDone> shard_complete(const ShardRange& shard,
+                                        const std::string& acc_path,
+                                        const std::string& done_path) {
+  std::optional<ShardDone> done = read_done(shard, done_path);
+  if (!done) return std::nullopt;
+  try {
+    const std::string acc = read_file(acc_path);
+    if (snapshot_matches(*done, acc) &&
+        util::crc32(acc.data(), acc.size() - 4) == done->acc_crc)
+      return done;
+  } catch (const std::exception&) {
+  }
+  return std::nullopt;
 }
 
 std::string shard_stem(const std::string& dir, std::size_t index) {
@@ -310,22 +332,48 @@ std::string read_file(const std::string& path) {
   return out;
 }
 
-void write_file_atomic(const std::string& path, std::string_view data) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) bad("cannot create " + tmp + ": " + std::strerror(errno));
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t w = ::write(fd, data.data() + off, data.size() - off);
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t micros_since(Clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0)
+          .count());
+}
+
+/// write(2) loop over one range; closes `fd` before throwing.
+void write_all(int fd, const std::string& tmp, const unsigned char* data,
+               std::size_t len) {
+  while (len > 0) {
+    const ssize_t w = ::write(fd, data, len);
     if (w < 0) {
       if (errno == EINTR) continue;
       const int err = errno;
       ::close(fd);
       bad("write failed on " + tmp + ": " + std::strerror(err));
     }
-    off += static_cast<std::size_t>(w);
+    data += w;
+    len -= static_cast<std::size_t>(w);
   }
+}
+
+/// tmp + write + fsync + rename + parent-directory fsync, with `fill`
+/// writing the content through the sink it is handed.  Returns the time to
+/// fill the tmp file and the time to make it durable, in microseconds.
+std::pair<std::uint64_t, std::uint64_t> publish(
+    const std::string& path,
+    const std::function<void(const wire::Sink&)>& fill) {
+  const Clock::time_point t0 = Clock::now();
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) bad("cannot create " + tmp + ": " + std::strerror(errno));
+  fill([fd, &tmp](const unsigned char* data, std::size_t len) {
+    write_all(fd, tmp, data, len);
+  });
+  const std::uint64_t fill_us = micros_since(t0);
+  const Clock::time_point t1 = Clock::now();
   if (::fsync(fd) != 0) {
     const int err = errno;
     ::close(fd);
@@ -342,6 +390,28 @@ void write_file_atomic(const std::string& path, std::string_view data) {
     ::fsync(dfd);
     ::close(dfd);
   }
+  return {fill_us, micros_since(t1)};
+}
+
+}  // namespace
+
+void write_file_atomic(const std::string& path, std::string_view data) {
+  publish(path, [data](const wire::Sink& sink) {
+    sink(reinterpret_cast<const unsigned char*>(data.data()), data.size());
+  });
+}
+
+SnapshotWrite write_file_atomic(
+    const std::string& path,
+    const std::function<std::uint32_t(wire::Writer&)>& serialize) {
+  SnapshotWrite out;
+  std::tie(out.write_us, out.sync_us) =
+      publish(path, [&](const wire::Sink& sink) {
+        wire::Writer w(sink);
+        out.seal = serialize(w);
+        out.bytes = w.size();
+      });
+  return out;
 }
 
 namespace {

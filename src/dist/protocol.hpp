@@ -24,11 +24,12 @@
 //   <dir>/shards/shard_NNNN.acc        the shard's accumulator snapshot
 //   <dir>/shards/shard_NNNN.done.json  shard manifest checkpoint: the shard
 //                                       is durable iff this parses and its
-//                                       recorded size/CRC match the .acc
+//                                       recorded size/seal match the .acc
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,6 +37,10 @@
 
 #include "aes/aes128.hpp"
 #include "analysis/attacks.hpp"
+
+namespace rftc::wire {
+class Writer;
+}  // namespace rftc::wire
 
 namespace rftc::dist {
 
@@ -106,7 +111,17 @@ struct ShardTask {
 struct ShardDone {
   ShardRange shard;
   std::uint64_t acc_bytes = 0;
+  /// The snapshot's seal: the CRC-32 of its bytes before the trailer, which
+  /// is also the trailer's value ("acc_crc32" on disk).  It identifies the
+  /// snapshot; the CRC-32 of the whole sealed file would not (it is the same
+  /// residue for every sealed blob).
   std::uint32_t acc_crc = 0;
+  /// Worker phase times in microseconds: opening the store(s) and
+  /// accumulating the range; streaming the snapshot into its tmp file
+  /// (serialize, CRC, write(2)); fsync, rename and directory fsync.
+  std::uint64_t accumulate_us = 0;
+  std::uint64_t write_us = 0;
+  std::uint64_t sync_us = 0;
 };
 
 // JSON codecs.  *_from_json throws std::runtime_error on malformed input or
@@ -118,17 +133,24 @@ ShardTask task_from_json(std::string_view text);
 std::string done_to_json(const ShardDone& done);
 ShardDone done_from_json(std::string_view text);
 
-/// True when `done_path` parses, matches `shard`, and the .acc snapshot at
-/// `acc_path` has exactly the recorded size and CRC-32 — i.e. the shard
-/// survived whatever killed its worker and can be reused on resume.  Any
-/// missing/corrupt/mismatched file is simply "not complete".
-bool shard_complete(const ShardRange& shard, const std::string& acc_path,
-                    const std::string& done_path);
-/// Same check, leaving the snapshot bytes it read and verified in `acc`
-/// (whose capacity is reused), so a caller can fold them without reading
-/// the file again.  `acc` is unspecified when the result is false.
-bool shard_complete(const ShardRange& shard, const std::string& acc_path,
-                    const std::string& done_path, std::string& acc);
+/// The manifest at `done_path` when it parses and records exactly `shard`'s
+/// range; nullopt for a missing, corrupt or other shard's manifest.
+std::optional<ShardDone> read_done(const ShardRange& shard,
+                                   const std::string& done_path);
+
+/// Whether `acc` has the size and ends in the seal `done` records.  The
+/// check a snapshot passes before it is folded; the fold's own CRC pass
+/// (Reader::check_crc) then ties the body to that seal.
+bool snapshot_matches(const ShardDone& done, std::string_view acc);
+
+/// The manifest at `done_path` when it is `shard`'s (read_done), the .acc
+/// snapshot at `acc_path` matches it (snapshot_matches), and the snapshot's
+/// body CRCs to the recorded seal — i.e. the shard survived whatever killed
+/// its worker and can be reused on resume.  Any missing, corrupt or
+/// mismatched file is simply "not complete" (nullopt).
+std::optional<ShardDone> shard_complete(const ShardRange& shard,
+                                        const std::string& acc_path,
+                                        const std::string& done_path);
 
 /// Path stem for shard `index` under `dir`: <dir>/shards/shard_NNNN
 std::string shard_stem(const std::string& dir, std::size_t index);
@@ -141,6 +163,23 @@ void read_file(const std::string& path, std::string& out);
 
 /// Crash-safe file write: tmp + fsync + rename + parent-directory fsync.
 void write_file_atomic(const std::string& path, std::string_view data);
+
+/// What the snapshot overload of write_file_atomic put on disk, and how
+/// long its two halves took.
+struct SnapshotWrite {
+  std::uint64_t bytes = 0;
+  std::uint32_t seal = 0;
+  std::uint64_t write_us = 0;  ///< open + serialize (CRC and write(2))
+  std::uint64_t sync_us = 0;   ///< fsync + rename + directory fsync
+};
+
+/// The same crash-safe write for a sealed snapshot: `serialize` streams it
+/// through a wire::Writer straight into the tmp file, so the bytes are
+/// CRC'd once and never held in memory whole.  Returns the byte count and
+/// the seal `serialize` returned.
+SnapshotWrite write_file_atomic(
+    const std::string& path,
+    const std::function<std::uint32_t(wire::Writer&)>& serialize);
 
 /// 32-hex-char AES key codec (throws std::invalid_argument on bad input).
 aes::Block parse_key_hex(std::string_view hex);

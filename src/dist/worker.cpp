@@ -1,10 +1,10 @@
 #include "dist/worker.hpp"
 
+#include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
-#include <string_view>
-#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -14,9 +14,9 @@
 #include "dist/protocol.hpp"
 #include "obs/log.hpp"
 #include "trace/trace_store.hpp"
-#include "util/crc32.hpp"
 #include "util/env.hpp"
 #include "util/stats.hpp"
+#include "util/wire.hpp"
 
 namespace rftc::dist {
 
@@ -50,13 +50,28 @@ void run_worker_task(const std::string& task_path) {
                   obs::log::kv("t1", static_cast<double>(task.shard.t1)),
                   obs::log::kv("kind", campaign_kind_name(task.spec.kind))});
 
-  std::vector<unsigned char> blob;
+  const auto start = std::chrono::steady_clock::now();
+  ShardDone done;
+  done.shard = task.shard;
+  // Streams the accumulator straight into its snapshot file: the seal and
+  // byte count the manifest records come from that one pass.
+  const auto write_snapshot = [&](const auto& acc) {
+    done.accumulate_us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    maybe_kill_for_test(task.shard.index);
+    const SnapshotWrite w = write_file_atomic(
+        task.acc_path, [&](wire::Writer& out) { return acc.serialize(out); });
+    done.acc_bytes = w.bytes;
+    done.acc_crc = w.seal;
+    done.write_us = w.write_us;
+    done.sync_us = w.sync_us;
+  };
   if (task.spec.kind == CampaignKind::kAttack) {
     const trace::TraceStore store(task.spec.store);
-    const analysis::CpaEngine engine = analysis::accumulate_attack_range(
-        store, task.spec.attack_params(), task.shard.t0, task.shard.t1);
-    maybe_kill_for_test(task.shard.index);
-    blob = engine.serialize();
+    write_snapshot(analysis::accumulate_attack_range(
+        store, task.spec.attack_params(), task.shard.t0, task.shard.t1));
   } else {
     const trace::TraceStore fixed(task.spec.fixed_store);
     const trace::TraceStore random(task.spec.random_store);
@@ -70,17 +85,8 @@ void run_worker_task(const std::string& task_path) {
                                     true);
     analysis::accumulate_tvla_range(test, random, task.shard.t0, task.shard.t1,
                                     false);
-    maybe_kill_for_test(task.shard.index);
-    blob = test.serialize();
+    write_snapshot(test);
   }
-
-  write_file_atomic(task.acc_path,
-                    std::string_view(reinterpret_cast<const char*>(blob.data()),
-                                     blob.size()));
-  ShardDone done;
-  done.shard = task.shard;
-  done.acc_bytes = blob.size();
-  done.acc_crc = util::crc32(blob.data(), blob.size());
   // Ordering is the durability contract: the done manifest only exists once
   // the snapshot it describes is fully on disk, so shard_complete() can
   // never endorse a torn snapshot.

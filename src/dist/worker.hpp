@@ -10,8 +10,9 @@ namespace rftc::dist {
 
 /// Reads the task at `task_path`, accumulates its trace range through the
 /// single-process analysis primitives (accumulate_attack_range /
-/// accumulate_tvla_range), atomically writes the accumulator snapshot and
-/// the done manifest it names.  Idempotent: re-running a task overwrites
+/// accumulate_tvla_range), atomically writes the accumulator snapshot —
+/// streamed from the accumulator in one pass — and then the done manifest
+/// it names (size, seal and phase times).  Idempotent: re-running a task overwrites
 /// both artifacts with identical bytes.  Throws on any I/O, parse or
 /// geometry failure — the coordinator treats a non-zero worker exit as a
 /// shard attempt failure.

@@ -138,16 +138,19 @@ namespace {
 constexpr char kWelchMagic[9] = "RFTCWEL1";
 }  // namespace
 
-std::vector<unsigned char> WelchTTest::serialize() const {
-  std::vector<unsigned char> out;
-  const std::size_t samples = f_n_.size();
-  out.reserve(8 + 8 + 6 * samples * sizeof(double) + 4);
-  wire::put_magic(out, kWelchMagic);
-  wire::put_u64(out, samples);
+std::uint32_t WelchTTest::serialize(wire::Writer& out) const {
+  out.magic(kWelchMagic);
+  out.u64(f_n_.size());
   for (const std::vector<double>* arr :
        {&f_n_, &f_sum_, &f_sum2_, &r_n_, &r_sum_, &r_sum2_})
-    wire::put_array(out, arr->data(), samples);
-  wire::seal(out);
+    out.array(arr->data(), arr->size());
+  return out.seal();
+}
+
+std::vector<unsigned char> WelchTTest::serialize() const {
+  std::vector<unsigned char> out;
+  wire::Writer w(wire::append_to(out));
+  serialize(w);
   return out;
 }
 

@@ -11,6 +11,10 @@
 #include <span>
 #include <vector>
 
+namespace rftc::wire {
+class Writer;
+}  // namespace rftc::wire
+
 namespace rftc {
 
 /// Welford one-pass mean/variance accumulator.
@@ -77,7 +81,10 @@ class WelchTTest {
   /// a trailing CRC-32 over everything before it.  deserialize() of the
   /// blob reconstructs an accumulator that merges and reports bit-identically
   /// to this one; a corrupt, truncated or wrong-magic payload throws
-  /// std::runtime_error instead of merging garbage.
+  /// std::runtime_error instead of merging garbage.  As for CpaEngine, the
+  /// Writer overload is the one serializer (it returns the seal) and the
+  /// blob overload streams it into memory.
+  std::uint32_t serialize(wire::Writer& out) const;
   std::vector<unsigned char> serialize() const;
   static WelchTTest deserialize(std::span<const unsigned char> blob);
 

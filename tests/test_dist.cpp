@@ -273,12 +273,18 @@ TEST(DistProtocol, TaskAndDoneRoundTrip) {
   done.shard = {3, 150, 300};
   done.acc_bytes = 12345;
   done.acc_crc = 0xDEADBEEF;
+  done.accumulate_us = 25'000;
+  done.write_us = 31'337;
+  done.sync_us = 40'001;
   const ShardDone d = done_from_json(done_to_json(done));
   EXPECT_EQ(d.shard.index, 3u);
   EXPECT_EQ(d.shard.t0, 150u);
   EXPECT_EQ(d.shard.t1, 300u);
   EXPECT_EQ(d.acc_bytes, 12345u);
   EXPECT_EQ(d.acc_crc, 0xDEADBEEFu);
+  EXPECT_EQ(d.accumulate_us, 25'000u);
+  EXPECT_EQ(d.write_us, 31'337u);
+  EXPECT_EQ(d.sync_us, 40'001u);
 }
 
 TEST(DistProtocol, MalformedInputsThrow) {
@@ -614,15 +620,17 @@ TEST(DistSerialize, CpaEngineRejectsCorruptBlobs) {
 std::vector<unsigned char> forged_cpa_blob(std::uint64_t samples,
                                            std::size_t payload) {
   std::vector<unsigned char> out;
-  wire::put_magic(out, "RFTCCPA1");
-  wire::put_u32(out, 1);  // engine tag
-  wire::put_u32(out, 0);  // last-round HD
-  wire::put_u64(out, samples);
-  wire::put_u64(out, 16);
-  wire::put_u64(out, 0);
-  for (std::uint32_t b = 0; b < 16; ++b) wire::put_u32(out, b);
-  out.resize(out.size() + payload, 0);
-  wire::seal(out);
+  wire::Writer w(wire::append_to(out));
+  w.magic("RFTCCPA1");
+  w.u32(1);  // engine tag
+  w.u32(0);  // last-round HD
+  w.u64(samples);
+  w.u64(16);
+  w.u64(0);
+  for (std::uint32_t b = 0; b < 16; ++b) w.u32(b);
+  const std::vector<unsigned char> zeros(payload, 0);
+  w.array(zeros.data(), zeros.size());
+  w.seal();
   return out;
 }
 
@@ -707,10 +715,12 @@ std::vector<std::size_t> cpa_section_bounds(const analysis::CpaEngine& e,
 
 /// `blob` with its trailing CRC replaced by a fresh seal over the rest, so
 /// a mutation reaches the parser behind the CRC check.
-std::vector<unsigned char> resealed(std::vector<unsigned char> blob) {
-  blob.resize(blob.size() >= 4 ? blob.size() - 4 : 0);
-  wire::seal(blob);
-  return blob;
+std::vector<unsigned char> resealed(const std::vector<unsigned char>& blob) {
+  std::vector<unsigned char> out;
+  wire::Writer w(wire::append_to(out));
+  w.array(blob.data(), blob.size() >= 4 ? blob.size() - 4 : 0);
+  w.seal();
+  return out;
 }
 
 /// The one-parser contract for a candidate blob: deserialize() and
@@ -830,10 +840,9 @@ TEST(DistSerialize, CpaBlobWithAStaleEngineTagIsRejectedUntouched) {
   for (const std::uint32_t tag : {0u, 2u}) {
     std::vector<unsigned char> blob =
         make_synthetic_engine(24, 16, {0, 3, 7}).serialize();
-    std::vector<unsigned char> stale;
-    wire::put_u32(stale, tag);
-    std::copy(stale.begin(), stale.end(), blob.begin() + 8);  // after magic
-    blob = resealed(std::move(blob));
+    for (std::size_t i = 0; i < 4; ++i)  // the little-endian u32 after magic
+      blob[8 + i] = static_cast<unsigned char>(tag >> (8 * i));
+    blob = resealed(blob);
     EXPECT_THROW((void)analysis::CpaEngine::deserialize(blob),
                  std::runtime_error)
         << "tag " << tag;
@@ -868,7 +877,7 @@ BlobMutation random_mutation(pbt::Rng& rng, std::size_t blob_size,
 std::vector<unsigned char> mutated(std::vector<unsigned char> blob,
                                    const BlobMutation& m) {
   for (const auto& [at, mask] : m.edits) blob[at] ^= mask;
-  return m.reseal ? resealed(std::move(blob)) : blob;
+  return m.reseal ? resealed(blob) : blob;
 }
 
 /// Shrinks toward a single edit.
@@ -1086,6 +1095,9 @@ TEST(DistProtocol, ParsersThrowOrRoundTripUnderRandomMutations) {
   done.shard = task.shard;
   done.acc_bytes = 2'098'712;
   done.acc_crc = 0x9E3779B9;
+  done.accumulate_us = 24'817;
+  done.write_us = 35'102;
+  done.sync_us = 39'664;
   EXPECT_TRUE(json_mutations_keep_the_contract<CampaignSpec>(
       "campaign_json_mutation", 0xCA3B0001, campaign_to_json(task.spec),
       campaign_from_json, campaign_to_json));
@@ -1102,6 +1114,21 @@ TEST(DistProtocol, ParsersThrowOrRoundTripUnderRandomMutations) {
 
 // --------------------------------------------------------------------------
 // Worker + shard manifests (in-process)
+
+/// The worker streamed exactly `want` into `task.acc_path`, and its manifest
+/// records that blob's size and seal.
+void expect_streamed_snapshot(const ShardTask& task,
+                              const std::vector<unsigned char>& want) {
+  const std::string acc = read_file(task.acc_path);
+  EXPECT_TRUE(acc.size() == want.size() &&
+              std::equal(want.begin(), want.end(),
+                         reinterpret_cast<const unsigned char*>(acc.data())))
+      << "the streamed snapshot differs from serialize()";
+  const ShardDone done = done_from_json(read_file(task.done_path));
+  EXPECT_EQ(done.acc_bytes, want.size());
+  EXPECT_EQ(done.acc_crc, wire::seal_of(want));
+  EXPECT_EQ(done.acc_crc, util::crc32(want.data(), want.size() - 4));
+}
 
 TEST(DistWorker, TaskProducesDurableShardAndIsIdempotent) {
   const std::string dir = temp_dir("worker_inproc");
@@ -1122,13 +1149,44 @@ TEST(DistWorker, TaskProducesDurableShardAndIsIdempotent) {
   EXPECT_TRUE(shard_complete(task.shard, task.acc_path, task.done_path));
   EXPECT_EQ(read_file(task.acc_path), first);
 
-  // The snapshot really is the range's accumulator.
+  // The snapshot really is the range's accumulator, byte for byte what the
+  // in-memory serializer produces, and the manifest records its seal.
   const analysis::CpaEngine engine = analysis::CpaEngine::deserialize(
       {reinterpret_cast<const unsigned char*>(first.data()), first.size()});
   EXPECT_EQ(engine.count(), 50u);
+  const trace::TraceStore store(task.spec.store);
+  expect_streamed_snapshot(
+      task, analysis::accumulate_attack_range(store, task.spec.attack_params(),
+                                              task.shard.t0, task.shard.t1)
+                .serialize());
 
   EXPECT_THROW(run_worker_task(dir + "/no_such_task.json"),
                std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(DistWorker, TvlaTaskStreamsTheWelchSnapshot) {
+  const Corpus& c = corpus();
+  const std::string dir = temp_dir("worker_tvla");
+  ShardTask task;
+  task.spec = tvla_spec();
+  // Past the random population's end: the fixed side alone fills the tail.
+  task.shard = {1, 300, c.n_fixed};
+  task.acc_path = dir + "/shard_0001.acc";
+  task.done_path = dir + "/shard_0001.done.json";
+  const std::string task_path = dir + "/shard_0001.task.json";
+  write_file_atomic(task_path, task_to_json(task));
+  run_worker_task(task_path);
+  EXPECT_TRUE(shard_complete(task.shard, task.acc_path, task.done_path));
+
+  const trace::TraceStore fixed(c.tvla_fixed);
+  const trace::TraceStore random(c.tvla_random);
+  WelchTTest want(fixed.samples());
+  analysis::accumulate_tvla_range(want, fixed, task.shard.t0, task.shard.t1,
+                                  true);
+  analysis::accumulate_tvla_range(want, random, task.shard.t0, task.shard.t1,
+                                  false);
+  expect_streamed_snapshot(task, want.serialize());
   fs::remove_all(dir);
 }
 
@@ -1163,6 +1221,23 @@ TEST(DistWorker, ShardCompleteRejectsTamperedOrMismatchedManifests) {
       static_cast<char>(flipped[flipped.size() / 2] ^ 0x01);
   write_file_atomic(task.acc_path, flipped);
   EXPECT_FALSE(shard_complete(task.shard, task.acc_path, task.done_path));
+
+  // Another shard's sealed snapshot of the same size, swapped in under this
+  // shard's manifest: intact as a blob, but not the snapshot the manifest
+  // recorded, so its seal gives it away.
+  ShardTask other = task;
+  other.shard = {3, 40, 70};
+  other.acc_path = dir + "/shard_0003.acc";
+  other.done_path = dir + "/shard_0003.done.json";
+  write_file_atomic(dir + "/shard_0003.task.json", task_to_json(other));
+  run_worker_task(dir + "/shard_0003.task.json");
+  const std::string foreign = read_file(other.acc_path);
+  ASSERT_EQ(foreign.size(), acc.size());
+  ASSERT_NE(foreign, acc);
+  write_file_atomic(task.acc_path, foreign);
+  EXPECT_FALSE(shard_complete(task.shard, task.acc_path, task.done_path));
+  EXPECT_NE(done_from_json(read_file(task.done_path)).acc_crc,
+            done_from_json(read_file(other.done_path)).acc_crc);
 
   // Restore and also corrupt the manifest side.
   write_file_atomic(task.acc_path, acc);
@@ -1325,6 +1400,52 @@ TEST(DistCampaign, KilledWorkerIsRetriedInPlace) {
   fs::remove_all(dir);
 }
 
+TEST(DistCampaign, SnapshotCorruptedAfterItsWorkerExitedIsRetried) {
+  const Corpus& c = corpus();
+  const CampaignSpec spec = attack_spec();
+  const trace::TraceStore store(c.attack_store);
+  const analysis::AttackOutcome baseline =
+      analysis::run_attack(store, spec.key(), spec.attack_params());
+
+  // A worker wrapper that lets rftc-worker finish, then overwrites the
+  // first byte of shard 1's snapshot, on that shard's first attempt only.
+  // The worker exits 0 with a manifest whose size still matches: only the
+  // CRC pass can catch it, and the shard must be redone, not merged.
+  const std::string dir = temp_dir("corrupt_retry");
+  const std::string wrapper = dir + "/flip-worker.sh";
+  {
+    std::ofstream sh(wrapper);
+    sh << "#!/bin/sh\n"
+       << "'" << RFTC_TESTS_WORKER_BIN << "' \"$1\" || exit $?\n"
+       << "case \"$1\" in\n"
+       << "  */shard_0001.task.json)\n"
+       << "    if [ ! -e '" << dir << "/flip.mark' ]; then\n"
+       << "      : > '" << dir << "/flip.mark'\n"
+       << "      printf X | dd of=\"${1%.task.json}.acc\" bs=1 count=1 "
+          "conv=notrunc 2>/dev/null\n"
+       << "    fi ;;\n"
+       << "esac\n";
+  }
+  fs::permissions(wrapper, fs::perms::owner_all, fs::perm_options::add);
+  CoordinatorOptions o = options_for(dir + "/camp", 2, /*retries=*/1);
+  o.worker_binary = wrapper;
+
+  const CampaignResult result = run_campaign(spec, o);
+  EXPECT_TRUE(fs::exists(dir + "/flip.mark"));
+  EXPECT_EQ(result.shards_reused, 0u);
+  EXPECT_EQ(result.worker_restarts, 1u);
+  EXPECT_GT(result.accumulate_us, 0u);
+  EXPECT_GT(result.write_us, 0u);
+  expect_attack_identical(result.attack, baseline);
+
+  // A rerun reuses every shard, and reused shards add no phase time.
+  const CampaignResult rerun = run_campaign(spec, o);
+  EXPECT_EQ(rerun.shards_reused, rerun.shards_total);
+  EXPECT_EQ(rerun.accumulate_us + rerun.write_us + rerun.sync_us, 0u);
+  expect_attack_identical(rerun.attack, baseline);
+  fs::remove_all(dir);
+}
+
 TEST(DistCampaign, KilledTvlaWorkerResumesBitIdentically) {
   const Corpus& c = corpus();
   EnvGuard cps("RFTC_OBS_CHECKPOINTS", "100,250");
@@ -1369,7 +1490,7 @@ TEST(DistCampaign, FoldFailureKillsAndReapsEveryWorker) {
   ASSERT_GE(plan.size(), 3u);
 
   // Shard 1 holds a sealed snapshot that is not a CpaEngine (a Welch one),
-  // with a manifest whose size and CRC match it: it passes shard_complete
+  // with a manifest whose size and seal match it: it passes shard_complete
   // and is reused, and only its fold can tell — while workers still run.
   const std::string dir = temp_dir("fold_failure");
   fs::create_directories(dir + "/shards");
@@ -1382,7 +1503,7 @@ TEST(DistCampaign, FoldFailureKillsAndReapsEveryWorker) {
   ShardDone done;
   done.shard = plan[1];
   done.acc_bytes = foreign.size();
-  done.acc_crc = util::crc32(foreign.data(), foreign.size());
+  done.acc_crc = wire::seal_of(foreign);
   write_file_atomic(stem + ".done.json", done_to_json(done));
 
   EXPECT_THROW(run_campaign(spec, options_for(dir, 2)), std::runtime_error);

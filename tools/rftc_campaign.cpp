@@ -219,9 +219,13 @@ int main(int argc, char** argv) {
       options.workers = cli.workers;
       const dist::CampaignResult result = dist::run_campaign(cli.spec, options);
       std::fprintf(stderr,
-                   "rftc-campaign: %zu shards (%zu reused, %zu restarts)\n",
+                   "rftc-campaign: %zu shards (%zu reused, %zu restarts); "
+                   "worker accumulate %.3f s, write %.3f s, sync %.3f s\n",
                    result.shards_total, result.shards_reused,
-                   result.worker_restarts);
+                   result.worker_restarts,
+                   1e-6 * static_cast<double>(result.accumulate_us),
+                   1e-6 * static_cast<double>(result.write_us),
+                   1e-6 * static_cast<double>(result.sync_us));
       report = cli.spec.kind == dist::CampaignKind::kAttack
                    ? attack_report_json(result.attack)
                    : tvla_report_json(result.tvla);
