@@ -13,7 +13,6 @@
 #include "simd/simd.hpp"
 #include "util/env.hpp"
 #include "util/parallel.hpp"
-#include "util/stats.hpp"
 #include "util/wire.hpp"
 
 namespace rftc::analysis {

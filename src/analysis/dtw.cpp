@@ -19,8 +19,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // Membership is the symmetric scaled Sakoe–Chiba condition
 //   |i*m - j*n| <= w * max(n, m)
 // in exact integer arithmetic.  The condition is invariant under swapping
-// the inputs (n <-> m with i <-> j), so dtw_distance(a, b) == dtw_distance
-// (b, a) for any band — the earlier floor-truncated "center = i*m/n,
+// the inputs (n <-> m with i <-> j), so the band admits the same cells in
+// either orientation — the earlier floor-truncated "center = i*m/n,
 // j in [center-w, center+w]" geometry admitted cells in one orientation it
 // excluded in the other and broke that symmetry.  For n == m it reduces to
 // the classic |i - j| <= w band, cell for cell.
@@ -114,46 +114,6 @@ Workspace& workspace() {
   thread_local Workspace ws;
   return ws;
 }
-
-}  // namespace
-
-double dtw_distance(std::span<const double> a, std::span<const double> b,
-                    const DtwParams& params) {
-  const std::size_t n = a.size(), m = b.size();
-  if (n == 0 || m == 0) throw std::invalid_argument("dtw_distance: empty");
-  Band band{n, m, effective_band(n, m, params)};
-
-  // prev[0] = D(0, 0) = 0 anchors the path start: cell (1, 1) reads it as
-  // its diagonal predecessor inside the sweep, so no post-sweep patching of
-  // row 1 is needed (the band always contains (1, 1) because
-  // w >= |n - m| implies |m - n| <= w * max(n, m)).
-  Workspace& ws = workspace();
-  ws.prev.assign(m + 1, kInf);
-  ws.cur.assign(m + 1, kInf);
-  double* prev = ws.prev.data();
-  double* cur = ws.cur.data();
-  prev[0] = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    const std::size_t lo = band.lo(i), hi = band.hi(i);
-    // Clearing only the band window keeps the row reset O(band) instead of
-    // O(m).  The window must reach the NEXT row's band end: row i+1 reads
-    // this buffer (as prev) up to hi(i+1), and with rolling buffers any
-    // cell past our own hi would otherwise hold a stale value from row i-2.
-    const std::size_t clear_hi = i < n ? std::max(hi, band.hi(i + 1)) : hi;
-    std::fill(cur + (lo - 1), cur + clear_hi + 1, kInf);
-    const double ai = a[i - 1];
-    for (std::size_t j = lo; j <= hi; ++j) {
-      const double best = std::min({prev[j - 1], prev[j], cur[j - 1]});
-      if (best == kInf) continue;
-      const double d = ai - b[j - 1];
-      cur[j] = d * d + best;
-    }
-    std::swap(prev, cur);
-  }
-  return prev[m];
-}
-
-namespace {
 
 /// One link of the P=1 select chain: `v` takes over `best` (and its step
 /// code `how`) only when strictly smaller.  The step code merges through a
@@ -295,8 +255,10 @@ void dtw_align_banded(std::span<const double> reference,
 
   for (std::size_t i = 1; i <= n; ++i) {
     const std::size_t lo = band.lo(i), hi = band.hi(i);
-    // Same stale-cell guard as dtw_distance: clear through the next row's
-    // band end so the rolling prev reads only written-or-cleared cells.
+    // Clearing only the band window keeps the row reset O(band) instead of
+    // O(m).  The window must reach the NEXT row's band end: row i+1 reads
+    // this buffer (as prev) up to hi(i+1), and with rolling buffers any
+    // cell past our own hi would otherwise hold a stale value from row i-2.
     const std::size_t clear_hi = i < n ? std::max(hi, band.hi(i + 1)) : hi;
     std::fill(cur + (lo - 1), cur + clear_hi + 1, kInf);
     std::uint8_t* steps = ws.step_row(i, lo);

@@ -5,9 +5,9 @@
 // A Sakoe–Chiba band bounds the warping window, turning the O(n^2) DP of
 // the paper's background section into O(n·w) per trace — the standard
 // engineering choice for attack campaigns on long traces; with the window
-// at n the implementation degenerates to the full DP.  DTW-CPA calls only
-// dtw_align; dtw_distance is the same banded DP without the warp path.
-// Both aligners keep O(band) work per row: rolling DP rows plus one banded
+// at n the implementation degenerates to the full DP.  DTW-CPA calls
+// dtw_align_into.  Both the slope-constrained (P=1) and the unconstrained
+// aligner keep O(band) work per row: rolling DP rows plus one banded
 // step matrix for the backtrack.  All DP scratch (rolling rows, step
 // matrix, backtrack accumulators) lives in per-thread reusable workspaces,
 // so steady-state calls allocate nothing.
@@ -23,7 +23,7 @@ struct DtwParams {
   /// Sakoe–Chiba band half-width in samples.  0 selects the unconstrained
   /// full O(n^2) DP.
   std::size_t band = 16;
-  /// Enforce the Sakoe–Chiba P=1 slope constraint in dtw_align: the path
+  /// Enforce the Sakoe–Chiba P=1 slope constraint: the alignment path
   /// may locally stretch or compress time by at most 2x.  Unconstrained
   /// warping on smooth band-limited traces "aligns" the amplitude noise
   /// itself and launders the leakage out of the traces; every practical
@@ -34,11 +34,6 @@ struct DtwParams {
   /// that DTW fails once the frequency spread is large (§8).
   bool slope_constrained = true;
 };
-
-/// Banded DTW distance between `a` and `b` (squared-difference local
-/// cost); slope_constrained applies to dtw_align only.
-double dtw_distance(std::span<const double> a, std::span<const double> b,
-                    const DtwParams& params = {});
 
 /// Warp `trace` onto the time base of `reference`: returns a vector of
 /// reference length where each entry is the mean of the trace samples the

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -41,21 +40,17 @@ const Value& member(const Value& obj, const char* key) {
   return *v;
 }
 
-/// `v` as an unsigned integer no larger than `max`: a JSON number that is
-/// integral and in range, so the conversion below is exact and defined.
-std::uint64_t as_uint(const Value& v, const std::string& what,
-                      std::uint64_t max = UINT64_MAX) {
-  // 2^64 as a double; UINT64_MAX itself rounds up to it.
-  constexpr double kTwo64 = 18446744073709551616.0;
-  if (!v.is_number() || !(v.num >= 0.0) || v.num >= kTwo64 ||
-      std::floor(v.num) != v.num || static_cast<std::uint64_t>(v.num) > max)
-    bad(what + " must be an integer in [0, " + std::to_string(max) + "]");
-  return static_cast<std::uint64_t>(v.num);
+/// `v` as an unsigned integer no larger than `max` (obs::json::as_uint);
+/// anything else is a protocol error.
+std::uint64_t require_uint(const Value& v, const std::string& what,
+                           std::uint64_t max = UINT64_MAX) {
+  if (const auto u = obs::json::as_uint(v, max)) return *u;
+  bad(what + " must be an integer in [0, " + std::to_string(max) + "]");
 }
 
 std::uint64_t member_u64(const Value& obj, const char* key,
                          std::uint64_t max = UINT64_MAX) {
-  return as_uint(member(obj, key), key, max);
+  return require_uint(member(obj, key), key, max);
 }
 
 std::string member_str(const Value& obj, const char* key) {
@@ -132,12 +127,12 @@ CampaignSpec spec_from_value(const Value& obj) {
     if (!bytes.is_array()) bad("bytes must be an array");
     for (const Value& b : bytes.array)
       spec.byte_positions.push_back(
-          static_cast<int>(as_uint(b, "byte positions", 15)));
+          static_cast<int>(require_uint(b, "byte positions", 15)));
     const Value& cps = member(obj, "checkpoints");
     if (!cps.is_array()) bad("checkpoints must be an array");
     for (const Value& c : cps.array)
       spec.checkpoints.push_back(
-          static_cast<std::size_t>(as_uint(c, "checkpoints")));
+          static_cast<std::size_t>(require_uint(c, "checkpoints")));
   } else {
     spec.fixed_store = member_str(obj, "fixed");
     spec.random_store = member_str(obj, "random");

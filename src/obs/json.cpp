@@ -271,4 +271,13 @@ const Value* Value::find(std::string_view key) const {
 
 Value parse(std::string_view text) { return Parser(text).run(); }
 
+std::optional<std::uint64_t> as_uint(const Value& v, std::uint64_t max) {
+  // 2^64 as a double; UINT64_MAX itself rounds up to it.
+  constexpr double kTwo64 = 18446744073709551616.0;
+  if (!v.is_number() || !(v.num >= 0.0) || v.num >= kTwo64 ||
+      std::floor(v.num) != v.num || static_cast<std::uint64_t>(v.num) > max)
+    return std::nullopt;
+  return static_cast<std::uint64_t>(v.num);
+}
+
 }  // namespace rftc::obs::json

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,5 +44,12 @@ struct Value {
 /// Parses one JSON document; throws std::runtime_error with the byte offset
 /// on malformed input.  Trailing non-whitespace is an error.
 Value parse(std::string_view text);
+
+/// `v` as an unsigned integer no larger than `max`; nullopt unless `v` is a
+/// number that is integral and in [0, max].  Readers convert JSON numbers
+/// through this one check instead of a static_cast, which would read 1.5 as
+/// 1 and is undefined for negatives and values of 2^64 and above.
+std::optional<std::uint64_t> as_uint(const Value& v,
+                                     std::uint64_t max = UINT64_MAX);
 
 }  // namespace rftc::obs::json

@@ -360,12 +360,18 @@ bool parse_heartbeat_line(std::string_view line, HeartbeatSnapshot& out) {
   }
   if (!doc.is_object()) return false;
   const json::Value* schema = doc.find("heartbeat_schema");
-  if (schema == nullptr || !schema->is_number() ||
-      static_cast<int>(schema->num) != kHeartbeatSchema)
+  if (schema == nullptr ||
+      json::as_uint(*schema) != static_cast<std::uint64_t>(kHeartbeatSchema))
     return false;
+  std::uint64_t seq = 0;
+  if (const json::Value* v = doc.find("seq")) {
+    const auto checked = json::as_uint(*v);
+    if (!checked) return false;
+    seq = *checked;
+  }
   out = HeartbeatSnapshot{};
-  out.schema = static_cast<int>(schema->num);
-  out.seq = static_cast<std::uint64_t>(num_or(doc.find("seq")));
+  out.schema = kHeartbeatSchema;
+  out.seq = seq;
   out.elapsed_seconds = num_or(doc.find("elapsed_seconds"));
   out.interval_ms = num_or(doc.find("interval_ms"));
   if (const json::Value* p = doc.find("progress"); p && p->is_object()) {

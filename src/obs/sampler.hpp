@@ -71,8 +71,9 @@ struct HeartbeatSnapshot {
   std::vector<std::pair<std::string, double>> checkpoint_values;
 };
 
-/// Parses one heartbeat JSON line; false on malformed input or a schema
-/// this build does not understand.
+/// Parses one heartbeat JSON line; false on malformed input, a schema
+/// this build does not understand, or a "seq" that is not an exact
+/// unsigned integer.
 bool parse_heartbeat_line(std::string_view line, HeartbeatSnapshot& out);
 
 /// Async-signal-safe copy of the most recent heartbeat line any tick built

@@ -7,8 +7,8 @@
 // stream of generated inputs and, on failure, greedily shrinks the
 // counterexample and prints a one-line reproducer:
 //
-//   [rftc::pbt] property 'dtw_symmetry' FALSIFIED at case 37/200
-//   [rftc::pbt]   counterexample (after 12 shrink steps): len_a=3 len_b=1 ...
+//   [rftc::pbt] property 'cpa_merge_associative' FALSIFIED at case 37/200
+//   [rftc::pbt]   counterexample (after 12 shrink steps): traces=3 ...
 //   [rftc::pbt]   reproduce: RFTC_PBT_SEED=0x3f2a9d11c0ffee25 RFTC_PBT_CASES=1
 //
 // Replay contract: case i of a run with base seed B draws from an RNG seeded

@@ -8,19 +8,12 @@
 namespace rftc::simd::detail {
 
 struct KernelTable {
-  void (*accumulate_sums)(const double*, double*, double*, std::size_t);
   void (*accumulate_sums_f)(const float*, double*, double*, std::size_t);
   void (*add_f)(const float*, double*, std::size_t);
   void (*sub_f)(const float*, double*, std::size_t);
   void (*axpy)(double, const double*, double*, std::size_t);
   void (*axpy_f)(double, const float*, double*, std::size_t);
   void (*wht256)(double*, std::size_t);
-  void (*welford_update)(const double*, double*, double*, double*,
-                         std::size_t);
-  void (*welford_update_f)(const float*, double*, double*, double*,
-                           std::size_t);
-  void (*welch_t)(const double*, const double*, const double*, const double*,
-                  const double*, const double*, double*, std::size_t);
   double (*peak_abs_correlation_scaled)(double, double, double, const double*,
                                         const double*, const double*,
                                         const double*, double, std::size_t);

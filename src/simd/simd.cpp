@@ -24,15 +24,6 @@ namespace {
 // contraction on SSE2 targets).
 // ---------------------------------------------------------------------------
 
-void s_accumulate_sums(const double* t, double* s1, double* s2,
-                       std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = t[i];
-    s1[i] += v;
-    s2[i] += v * v;
-  }
-}
-
 void s_accumulate_sums_f(const float* t, double* s1, double* s2,
                          std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -71,46 +62,6 @@ void s_wht256(double* p, std::size_t w) {
         }
       }
     }
-  }
-}
-
-void s_welford_update(const double* x, double* cnt, double* mean, double* m2,
-                      std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double c = cnt[i] + 1.0;
-    const double delta = x[i] - mean[i];
-    const double m = mean[i] + delta / c;
-    cnt[i] = c;
-    mean[i] = m;
-    m2[i] += delta * (x[i] - m);
-  }
-}
-
-void s_welford_update_f(const float* x, double* cnt, double* mean, double* m2,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = static_cast<double>(x[i]);
-    const double c = cnt[i] + 1.0;
-    const double delta = v - mean[i];
-    const double m = mean[i] + delta / c;
-    cnt[i] = c;
-    mean[i] = m;
-    m2[i] += delta * (v - m);
-  }
-}
-
-void s_welch_t(const double* na, const double* ma, const double* m2a,
-               const double* nb, const double* mb, const double* m2b,
-               double* t, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (na[i] < 2.0 || nb[i] < 2.0) {
-      t[i] = 0.0;
-      continue;
-    }
-    const double va = (m2a[i] / (na[i] - 1.0)) / na[i];
-    const double vb = (m2b[i] / (nb[i] - 1.0)) / nb[i];
-    const double denom = std::sqrt(va + vb);
-    t[i] = denom == 0.0 ? 0.0 : (ma[i] - mb[i]) / denom;
   }
 }
 
@@ -209,16 +160,12 @@ std::uint32_t crc32_bytes(std::uint32_t crc, const std::uint8_t* p,
 
 const KernelTable& scalar_table() {
   static const KernelTable t = {
-      s_accumulate_sums,
       s_accumulate_sums_f,
       s_add_f,
       s_sub_f,
       s_axpy,
       s_axpy_f,
       s_wht256,
-      s_welford_update,
-      s_welford_update_f,
-      s_welch_t,
       s_peak_abs_correlation_scaled,
       s_xor_popcount,
       crc32_bytes,
@@ -256,10 +203,6 @@ void set_backend(Backend b) {
 // Public kernel entry points: one indirect call per array, amortized over
 // the whole range.
 
-void accumulate_sums(const double* t, double* s1, double* s2, std::size_t n) {
-  table().accumulate_sums(t, s1, s2, n);
-}
-
 void accumulate_sums_f(const float* t, double* s1, double* s2, std::size_t n) {
   table().accumulate_sums_f(t, s1, s2, n);
 }
@@ -278,22 +221,6 @@ void axpy_f(double a, const float* x, double* y, std::size_t n) {
 
 void wht256(double* panel, std::size_t width) {
   table().wht256(panel, width);
-}
-
-void welford_update(const double* x, double* cnt, double* mean, double* m2,
-                    std::size_t n) {
-  table().welford_update(x, cnt, mean, m2, n);
-}
-
-void welford_update_f(const float* x, double* cnt, double* mean, double* m2,
-                      std::size_t n) {
-  table().welford_update_f(x, cnt, mean, m2, n);
-}
-
-void welch_t(const double* na, const double* ma, const double* m2a,
-             const double* nb, const double* mb, const double* m2b, double* t,
-             std::size_t n) {
-  table().welch_t(na, ma, m2a, nb, mb, m2b, t, n);
 }
 
 double peak_abs_correlation_scaled(double n, double sh, double sh2,

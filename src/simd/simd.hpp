@@ -1,5 +1,5 @@
 // rftc::simd — runtime-dispatched vectorization layer for the analysis hot
-// paths (CPA class sums, Welch-t accumulation, leakage models, correlation
+// paths (CPA class sums, Welch-t raw sums, leakage models, correlation
 // sweeps) and for the CRC-32 behind every trace-store chunk and wire blob.
 //
 // Two backends implement one kernel table: a portable scalar fallback
@@ -61,11 +61,8 @@ void set_backend(Backend b);
 // must not alias unless stated.  n == 0 is a no-op.
 // ---------------------------------------------------------------------------
 
-/// s1[i] += t[i]; s2[i] += t[i] * t[i]  (per-sample first/second moments).
-void accumulate_sums(const double* t, double* s1, double* s2, std::size_t n);
-
-/// Float-input variant: the trace value is widened to double once, then
-/// accumulated exactly like accumulate_sums.
+/// s1[i] += v; s2[i] += v * v with v = (double)t[i]: per-sample first and
+/// second moments of a float trace, widened to double once.
 void accumulate_sums_f(const float* t, double* s1, double* s2, std::size_t n);
 
 /// y[i] += x[i] (float input, double accumulator).
@@ -87,29 +84,13 @@ void axpy_f(double a, const float* x, double* y, std::size_t n);
 /// in registers (radix-4) without changing any element's add/sub sequence.
 void wht256(double* panel, std::size_t width);
 
-/// One Welford update per lane: cnt[i] += 1; delta = x[i] - mean[i];
-/// mean[i] += delta / cnt[i]; m2[i] += delta * (x[i] - mean[i]).
-/// Counts are kept as doubles (exact up to 2^53 updates).
-void welford_update(const double* x, double* cnt, double* mean, double* m2,
-                    std::size_t n);
-
-/// Float-input Welford update (the trace sample is widened once).
-void welford_update_f(const float* x, double* cnt, double* mean, double* m2,
-                      std::size_t n);
-
-/// Per-lane Welch t statistic from two Welford accumulator arrays:
-/// t[i] = (ma[i] - mb[i]) / sqrt(va + vb) with v = (m2 / (n - 1)) / n,
-/// and t[i] = 0 when either count is < 2 or the denominator is 0 — the
-/// exact arithmetic of rftc::welch_t on RunningMoments.
-void welch_t(const double* na, const double* ma, const double* m2a,
-             const double* nb, const double* mb, const double* m2b,
-             double* t, std::size_t n);
-
-/// max_i |corr_i| where corr_i = correlation_from_sums(n, sh, sh2, st[i],
-/// st2[i], ht[i]) — the per-guess CPA correlation sweep, with the cross sum
-/// materialised on the fly as ht[i] = w[i] + acc[i] * scale (w may be null,
-/// read as 0.0).  The (n, sh, sh2) terms are scalar per guess, so the
-/// hypothesis variance is hoisted.
+/// max_i |corr_i| where corr_i = (n * ht[i] - sh * st[i]) /
+/// sqrt((n * sh2 - sh * sh) * (n * st2[i] - st[i] * st[i])), the Pearson
+/// correlation from raw sums (0 when either variance term is <= 0) — the
+/// per-guess CPA correlation sweep, with the cross sum materialised on the
+/// fly as ht[i] = w[i] + acc[i] * scale (w may be null, read as 0.0).  The
+/// (n, sh, sh2) terms are scalar per guess, so the hypothesis variance is
+/// hoisted.
 double peak_abs_correlation_scaled(double n, double sh, double sh2,
                                    const double* st, const double* st2,
                                    const double* acc, const double* w,

@@ -19,23 +19,6 @@ inline __m256d load4f_as_pd(const float* x) {
   return _mm256_cvtps_pd(_mm_loadu_ps(x));
 }
 
-void v_accumulate_sums(const double* t, double* s1, double* s2,
-                       std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(t + i);
-    _mm256_storeu_pd(s1 + i, _mm256_add_pd(_mm256_loadu_pd(s1 + i), v));
-    _mm256_storeu_pd(
-        s2 + i,
-        _mm256_add_pd(_mm256_loadu_pd(s2 + i), _mm256_mul_pd(v, v)));
-  }
-  for (; i < n; ++i) {
-    const double v = t[i];
-    s1[i] += v;
-    s2[i] += v * v;
-  }
-}
-
 void v_accumulate_sums_f(const float* t, double* s1, double* s2,
                          std::size_t n) {
   std::size_t i = 0;
@@ -125,89 +108,6 @@ void v_wht256(double* p, std::size_t w) {
         }
       }
     }
-  }
-}
-
-inline void welford_step4(__m256d x, double* cnt, double* mean, double* m2) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d c = _mm256_add_pd(_mm256_loadu_pd(cnt), one);
-  const __m256d mo = _mm256_loadu_pd(mean);
-  const __m256d delta = _mm256_sub_pd(x, mo);
-  const __m256d m = _mm256_add_pd(mo, _mm256_div_pd(delta, c));
-  _mm256_storeu_pd(cnt, c);
-  _mm256_storeu_pd(mean, m);
-  _mm256_storeu_pd(
-      m2, _mm256_add_pd(_mm256_loadu_pd(m2),
-                        _mm256_mul_pd(delta, _mm256_sub_pd(x, m))));
-}
-
-void v_welford_update(const double* x, double* cnt, double* mean, double* m2,
-                      std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    welford_step4(_mm256_loadu_pd(x + i), cnt + i, mean + i, m2 + i);
-  for (; i < n; ++i) {
-    const double c = cnt[i] + 1.0;
-    const double delta = x[i] - mean[i];
-    const double m = mean[i] + delta / c;
-    cnt[i] = c;
-    mean[i] = m;
-    m2[i] += delta * (x[i] - m);
-  }
-}
-
-void v_welford_update_f(const float* x, double* cnt, double* mean, double* m2,
-                        std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    welford_step4(load4f_as_pd(x + i), cnt + i, mean + i, m2 + i);
-  for (; i < n; ++i) {
-    const double v = static_cast<double>(x[i]);
-    const double c = cnt[i] + 1.0;
-    const double delta = v - mean[i];
-    const double m = mean[i] + delta / c;
-    cnt[i] = c;
-    mean[i] = m;
-    m2[i] += delta * (v - m);
-  }
-}
-
-void v_welch_t(const double* na, const double* ma, const double* m2a,
-               const double* nb, const double* mb, const double* m2b,
-               double* t, std::size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d two = _mm256_set1_pd(2.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vna = _mm256_loadu_pd(na + i);
-    const __m256d vnb = _mm256_loadu_pd(nb + i);
-    // Lanes with a count < 2 still run the arithmetic (possibly dividing by
-    // zero — quiet in IEEE) and are blended to 0 at the end.
-    const __m256d va = _mm256_div_pd(
-        _mm256_div_pd(_mm256_loadu_pd(m2a + i), _mm256_sub_pd(vna, one)),
-        vna);
-    const __m256d vb = _mm256_div_pd(
-        _mm256_div_pd(_mm256_loadu_pd(m2b + i), _mm256_sub_pd(vnb, one)),
-        vnb);
-    const __m256d denom = _mm256_sqrt_pd(_mm256_add_pd(va, vb));
-    const __m256d tv = _mm256_div_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(ma + i), _mm256_loadu_pd(mb + i)),
-        denom);
-    __m256d ok = _mm256_and_pd(_mm256_cmp_pd(vna, two, _CMP_GE_OQ),
-                               _mm256_cmp_pd(vnb, two, _CMP_GE_OQ));
-    ok = _mm256_and_pd(ok, _mm256_cmp_pd(denom, zero, _CMP_NEQ_OQ));
-    _mm256_storeu_pd(t + i, _mm256_blendv_pd(zero, tv, ok));
-  }
-  for (; i < n; ++i) {
-    if (na[i] < 2.0 || nb[i] < 2.0) {
-      t[i] = 0.0;
-      continue;
-    }
-    const double va = (m2a[i] / (na[i] - 1.0)) / na[i];
-    const double vb = (m2b[i] / (nb[i] - 1.0)) / nb[i];
-    const double denom = std::sqrt(va + vb);
-    t[i] = denom == 0.0 ? 0.0 : (ma[i] - mb[i]) / denom;
   }
 }
 
@@ -369,16 +269,12 @@ std::uint32_t v_crc32_update(std::uint32_t crc, const std::uint8_t* p,
 
 const KernelTable& avx2_table() {
   static const KernelTable t = {
-      v_accumulate_sums,
       v_accumulate_sums_f,
       v_add_f,
       v_sub_f,
       v_axpy,
       v_axpy_f,
       v_wht256,
-      v_welford_update,
-      v_welford_update_f,
-      v_welch_t,
       v_peak_abs_correlation_scaled,
       v_xor_popcount,
       v_crc32_update,

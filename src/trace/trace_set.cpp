@@ -37,17 +37,6 @@ std::span<const float> TraceSet::trace(std::size_t i) const {
   return {data_.data() + i * n_samples_, n_samples_};
 }
 
-std::vector<double> TraceSet::mean_trace() const {
-  std::vector<double> mean(n_samples_, 0.0);
-  if (size() == 0) return mean;
-  for (std::size_t i = 0; i < size(); ++i) {
-    const auto t = trace(i);
-    for (std::size_t s = 0; s < n_samples_; ++s) mean[s] += t[s];
-  }
-  for (double& v : mean) v /= static_cast<double>(size());
-  return mean;
-}
-
 TraceSet TraceSet::downsampled(std::size_t factor) const {
   if (factor == 0) throw std::invalid_argument("TraceSet::downsampled");
   const std::size_t out_samples = n_samples_ / factor;

@@ -34,9 +34,6 @@ class TraceSet {
     return ciphertexts_[i];
   }
 
-  /// Mean trace over the whole set (reference trace for DTW alignment).
-  std::vector<double> mean_trace() const;
-
   /// Box-average downsampling by an integer factor (attack-side
   /// preprocessing; trailing partial boxes are dropped).
   TraceSet downsampled(std::size_t factor) const;

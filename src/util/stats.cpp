@@ -10,53 +10,6 @@
 
 namespace rftc {
 
-void RunningMoments::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningMoments::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningMoments::stddev() const { return std::sqrt(variance()); }
-
-double pearson(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
-  const std::size_t n = x.size();
-  if (n < 2) return 0.0;
-  double sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    syy += y[i] * y[i];
-    sxy += x[i] * y[i];
-  }
-  return correlation_from_sums(static_cast<double>(n), sx, sxx, sy, syy, sxy);
-}
-
-double correlation_from_sums(double n, double sh, double sh2, double st,
-                             double st2, double sht) {
-  const double num = n * sht - sh * st;
-  const double dh = n * sh2 - sh * sh;
-  const double dt = n * st2 - st * st;
-  if (dh <= 0.0 || dt <= 0.0) return 0.0;
-  return num / std::sqrt(dh * dt);
-}
-
-double welch_t(const RunningMoments& a, const RunningMoments& b) {
-  if (a.count() < 2 || b.count() < 2) return 0.0;
-  const double va = a.variance() / static_cast<double>(a.count());
-  const double vb = b.variance() / static_cast<double>(b.count());
-  const double denom = std::sqrt(va + vb);
-  if (denom == 0.0) return 0.0;
-  return (a.mean() - b.mean()) / denom;
-}
-
 double welch_t_from_sums(double nf, double sf, double sf2, double nr,
                          double sr, double sr2) {
   if (nf < 2.0 || nr < 2.0) return 0.0;
@@ -86,20 +39,6 @@ void bump_counts(double* n, std::size_t count) {
 }
 
 }  // namespace
-
-void WelchTTest::add_fixed(std::span<const double> trace) {
-  assert(trace.size() == f_n_.size());
-  simd::accumulate_sums(trace.data(), f_sum_.data(), f_sum2_.data(),
-                        trace.size());
-  bump_counts(f_n_.data(), trace.size());
-}
-
-void WelchTTest::add_random(std::span<const double> trace) {
-  assert(trace.size() == r_n_.size());
-  simd::accumulate_sums(trace.data(), r_sum_.data(), r_sum2_.data(),
-                        trace.size());
-  bump_counts(r_n_.data(), trace.size());
-}
 
 void WelchTTest::add_fixed_range(std::span<const float> trace, std::size_t s0,
                                  std::size_t s1) {
@@ -201,36 +140,6 @@ TStatScan scan_t(std::span<const double> t, double threshold) {
     if (a > threshold) ++scan.leaking_samples;
   }
   return scan;
-}
-
-StreamingCorrelation::StreamingCorrelation(std::size_t samples)
-    : sum_t_(samples, 0.0), sum_t2_(samples, 0.0), sum_ht_(samples, 0.0) {}
-
-void StreamingCorrelation::add(double h, std::span<const double> trace) {
-  assert(trace.size() == sum_t_.size());
-  ++n_;
-  sum_h_ += h;
-  sum_h2_ += h * h;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    sum_t_[i] += trace[i];
-    sum_t2_[i] += trace[i] * trace[i];
-    sum_ht_[i] += h * trace[i];
-  }
-}
-
-std::vector<double> StreamingCorrelation::correlations() const {
-  std::vector<double> out(sum_t_.size(), 0.0);
-  const double n = static_cast<double>(n_);
-  for (std::size_t i = 0; i < sum_t_.size(); ++i)
-    out[i] = correlation_from_sums(n, sum_h_, sum_h2_, sum_t_[i], sum_t2_[i],
-                                   sum_ht_[i]);
-  return out;
-}
-
-double StreamingCorrelation::max_abs_correlation() const {
-  double m = 0.0;
-  for (const double c : correlations()) m = std::max(m, std::fabs(c));
-  return m;
 }
 
 }  // namespace rftc

@@ -1,9 +1,8 @@
-// Streaming statistics used by the side-channel analysis stack.
+// Streaming statistics for the TVLA leakage assessment.
 //
-// Every attack in the paper (CPA and its PCA/DTW/FFT-preprocessed variants,
-// plus the TVLA leakage assessment) reduces to running first/second moments
-// and cross moments over a stream of traces, so these accumulators are the
-// shared numerical core.  All accumulation is in double precision.
+// The fixed-vs-random Welch t-test reduces to per-sample raw moment sums
+// (count, Σx, Σx²) over a stream of traces, accumulated in double precision
+// by the rftc::simd kernels; CPA keeps its own class sums (analysis/cpa.hpp).
 #pragma once
 
 #include <cstddef>
@@ -16,31 +15,6 @@ class Writer;
 }  // namespace rftc::wire
 
 namespace rftc {
-
-/// Welford one-pass mean/variance accumulator.
-class RunningMoments {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  /// Sample variance (n-1 denominator); 0 if fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-/// Pearson correlation of two equal-length spans.
-double pearson(std::span<const double> x, std::span<const double> y);
-
-/// Welch's t statistic between two populations given by their moments.
-/// Returns 0 when either population has fewer than 2 samples or both
-/// variances are zero.
-double welch_t(const RunningMoments& a, const RunningMoments& b);
 
 /// Welch's t statistic from raw per-population moment sums
 /// (n, Σx, Σx²).  Returns 0 when either population has fewer than 2
@@ -67,9 +41,6 @@ class WelchTTest {
  public:
   explicit WelchTTest(std::size_t samples);
 
-  void add_fixed(std::span<const double> trace);
-  void add_random(std::span<const double> trace);
-
   /// Folds another accumulator (same samples()) into this one by elementwise
   /// addition of the raw sums.  With exact per-shard sums the result is
   /// bit-identical to a single accumulator fed both shards' traces, in any
@@ -88,10 +59,10 @@ class WelchTTest {
   std::vector<unsigned char> serialize() const;
   static WelchTTest deserialize(std::span<const unsigned char> blob);
 
-  /// Range variants for the sample-sharded parallel TVLA path: accumulate
-  /// samples [s0, s1) of a raw float trace into the matching per-sample
-  /// moments.  Each sample sees the same double-converted value and update
-  /// order as the full-trace overloads, so sharding over samples is
+  /// Accumulate samples [s0, s1) of a raw float trace into the matching
+  /// per-sample moments; a whole trace is the range [0, samples()).  Each
+  /// sample sees the same double-converted value and update order whatever
+  /// the range, so sharding over samples (the parallel TVLA path) is
   /// bit-identical to the serial accumulation.
   void add_fixed_range(std::span<const float> trace, std::size_t s0,
                        std::size_t s1);
@@ -125,32 +96,5 @@ struct TStatScan {
 
 /// The one t-scan: a single pass over `t` against `threshold`.
 TStatScan scan_t(std::span<const double> t, double threshold);
-
-/// Streaming Pearson correlation accumulator between a scalar hypothesis and
-/// every sample of a trace — the CPA inner loop.  For a batch of guesses the
-/// CpaEngine keeps one of these per (byte, guess) pair conceptually, but a
-/// flattened layout is used there for speed; this class is the reference
-/// implementation used by tests.
-class StreamingCorrelation {
- public:
-  explicit StreamingCorrelation(std::size_t samples);
-
-  void add(double h, std::span<const double> trace);
-
-  /// Correlation per sample; 0 where degenerate.
-  std::vector<double> correlations() const;
-  double max_abs_correlation() const;
-  std::size_t count() const { return n_; }
-
- private:
-  std::size_t n_ = 0;
-  double sum_h_ = 0.0, sum_h2_ = 0.0;
-  std::vector<double> sum_t_, sum_t2_, sum_ht_;
-};
-
-/// Population Pearson correlation from raw sums:
-/// n, Σh, Σh², Σt, Σt², Σht.  Returns 0 when degenerate.
-double correlation_from_sums(double n, double sh, double sh2, double st,
-                             double st2, double sht);
 
 }  // namespace rftc

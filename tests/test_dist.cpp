@@ -40,6 +40,7 @@
 #include "util/stats.hpp"
 #include "util/wire.hpp"
 #include "cpa_oracle.hpp"
+#include "mutation.hpp"
 #include "scratch.hpp"
 
 #ifndef RFTC_TESTS_WORKER_BIN
@@ -50,6 +51,12 @@ namespace rftc::dist {
 namespace {
 
 namespace fs = std::filesystem;
+using fuzz::BlobMutation;
+using fuzz::describe_mutation;
+using fuzz::mutated;
+using fuzz::random_mutation;
+using fuzz::resealed;
+using fuzz::shrink_mutation;
 
 /// Scoped setenv/unsetenv so env-sensitive tests cannot leak state.
 class EnvGuard {
@@ -713,16 +720,6 @@ std::vector<std::size_t> cpa_section_bounds(const analysis::CpaEngine& e,
   return bounds;
 }
 
-/// `blob` with its trailing CRC replaced by a fresh seal over the rest, so
-/// a mutation reaches the parser behind the CRC check.
-std::vector<unsigned char> resealed(const std::vector<unsigned char>& blob) {
-  std::vector<unsigned char> out;
-  wire::Writer w(wire::append_to(out));
-  w.array(blob.data(), blob.size() >= 4 ? blob.size() - 4 : 0);
-  w.seal();
-  return out;
-}
-
 /// The one-parser contract for a candidate blob: deserialize() and
 /// merge(blob) each either throw a typed error (std::runtime_error or
 /// std::invalid_argument) — merge leaving its target's serialize() bytes as
@@ -852,53 +849,6 @@ TEST(DistSerialize, CpaBlobWithAStaleEngineTagIsRejectedUntouched) {
   }
 }
 
-/// A random multi-byte mutation of a sealed CPA blob: `edits` bytes are
-/// XORed with a non-zero mask anywhere in the blob, or only inside the
-/// header and then resealed, so the mutation gets past the CRC.
-struct BlobMutation {
-  bool reseal = false;
-  std::vector<std::pair<std::size_t, unsigned char>> edits;
-};
-
-/// Up to four edits of a non-zero mask each: anywhere in `blob`, or only in
-/// its first `header` bytes and then resealed.
-BlobMutation random_mutation(pbt::Rng& rng, std::size_t blob_size,
-                             std::size_t header) {
-  BlobMutation m;
-  m.reseal = rng.uniform(2) == 1;
-  const std::size_t span = m.reseal ? header : blob_size;
-  const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform(4));
-  for (std::size_t i = 0; i < n; ++i)
-    m.edits.emplace_back(static_cast<std::size_t>(rng.uniform(span)),
-                         static_cast<unsigned char>(1 + rng.uniform(255)));
-  return m;
-}
-
-std::vector<unsigned char> mutated(std::vector<unsigned char> blob,
-                                   const BlobMutation& m) {
-  for (const auto& [at, mask] : m.edits) blob[at] ^= mask;
-  return m.reseal ? resealed(blob) : blob;
-}
-
-/// Shrinks toward a single edit.
-std::vector<BlobMutation> shrink_mutation(const BlobMutation& m) {
-  std::vector<BlobMutation> out;
-  for (std::size_t i = 0; m.edits.size() > 1 && i < m.edits.size(); ++i) {
-    BlobMutation fewer = m;
-    fewer.edits.erase(fewer.edits.begin() + static_cast<std::ptrdiff_t>(i));
-    out.push_back(std::move(fewer));
-  }
-  return out;
-}
-
-std::string describe_mutation(const BlobMutation& m) {
-  std::ostringstream os;
-  os << (m.reseal ? "resealed" : "raw") << " edits:";
-  for (const auto& [at, mask] : m.edits)
-    os << " " << at << "^" << static_cast<unsigned>(mask);
-  return os.str();
-}
-
 TEST(DistSerialize, CpaBlobRandomMutationsKeepTheParserContract) {
   const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
   const std::vector<unsigned char> blob =
@@ -922,13 +872,13 @@ WelchTTest make_welch(std::size_t traces) {
   WelchTTest test(16);
   std::mt19937 rng(0xBEEF);
   for (std::size_t i = 0; i < traces; ++i) {
-    std::vector<double> tr(16);
+    std::vector<float> tr(16);
     for (auto& v : tr)
-      v = static_cast<double>(static_cast<int>(rng() % 512) - 256) * 0.015625;
+      v = static_cast<float>(static_cast<int>(rng() % 512) - 256) * 0.015625f;
     if (i % 2 == 0)
-      test.add_fixed(tr);
+      test.add_fixed_range(tr, 0, tr.size());
     else
-      test.add_random(tr);
+      test.add_random_range(tr, 0, tr.size());
   }
   return test;
 }

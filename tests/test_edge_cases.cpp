@@ -33,11 +33,13 @@ TEST(WelchEdge, AsymmetricPopulationSizes) {
   Xoshiro256StarStar rng(5);
   WelchTTest t(2);
   for (int i = 0; i < 2'000; ++i) {
-    const std::vector<double> f = {rng.gaussian(), rng.gaussian() + 1.0};
-    t.add_fixed(f);
+    const std::vector<float> f = {static_cast<float>(rng.gaussian()),
+                                  static_cast<float>(rng.gaussian() + 1.0)};
+    t.add_fixed_range(f, 0, f.size());
     if (i % 10 == 0) {
-      const std::vector<double> r = {rng.gaussian(), rng.gaussian()};
-      t.add_random(r);
+      const std::vector<float> r = {static_cast<float>(rng.gaussian()),
+                                    static_cast<float>(rng.gaussian())};
+      t.add_random_range(r, 0, r.size());
     }
   }
   EXPECT_EQ(t.fixed_count(), 2'000u);

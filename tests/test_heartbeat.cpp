@@ -305,6 +305,18 @@ TEST(HeartbeatRender, ParserRejectsGarbageAndWrongSchema) {
   EXPECT_FALSE(parse_heartbeat_line("[1,2,3]", snap));
   EXPECT_FALSE(
       parse_heartbeat_line("{\"heartbeat_schema\": 999, \"seq\": 1}", snap));
+  // Numbers must be exact integers in range, not whatever a cast makes of
+  // them: 1.5 is not schema 1, and -1 or 1e30 have no uint64 value.
+  for (const char* schema : {"1.5", "1e300", "-1"})
+    EXPECT_FALSE(parse_heartbeat_line(
+        std::string("{\"heartbeat_schema\": ") + schema + ", \"seq\": 1}",
+        snap))
+        << schema;
+  for (const char* seq : {"-1", "1e30"})
+    EXPECT_FALSE(parse_heartbeat_line(
+        std::string("{\"heartbeat_schema\": 1, \"seq\": ") + seq + "}",
+        snap))
+        << seq;
   EXPECT_TRUE(parse_heartbeat_line(
       "{\"heartbeat_schema\": 1, \"seq\": 7}", snap));
   EXPECT_EQ(snap.seq, 7u);

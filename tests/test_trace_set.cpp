@@ -30,15 +30,6 @@ TEST(TraceSet, RejectsWrongSampleCount) {
                std::invalid_argument);
 }
 
-TEST(TraceSet, MeanTrace) {
-  TraceSet set(2);
-  set.add({1.0f, 10.0f}, aes::Block{}, aes::Block{});
-  set.add({3.0f, 20.0f}, aes::Block{}, aes::Block{});
-  const auto mean = set.mean_trace();
-  EXPECT_DOUBLE_EQ(mean[0], 2.0);
-  EXPECT_DOUBLE_EQ(mean[1], 15.0);
-}
-
 TEST(TraceSet, DownsampleBoxAverages) {
   TraceSet set(6);
   set.add({1, 3, 5, 7, 9, 11}, aes::Block{}, aes::Block{});

@@ -44,11 +44,14 @@
 // 1 = regression, no valid heartbeat line, or not a bundle,
 // 2 = usage or I/O error.
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -297,19 +300,23 @@ int cmd_postmortem(const char* path) {
     return 1;
   }
   const json::Value* schema = doc.find("postmortem_schema");
-  if (schema == nullptr || !schema->is_number() ||
-      static_cast<int>(schema->num) != rftc::obs::kPostmortemSchema) {
+  const json::Value* signal = doc.find("signal");
+  const std::optional<std::uint64_t> signo =
+      signal != nullptr ? json::as_uint(*signal, INT_MAX) : std::uint64_t{0};
+  if (schema == nullptr ||
+      json::as_uint(*schema) !=
+          static_cast<std::uint64_t>(rftc::obs::kPostmortemSchema) ||
+      !signo) {
     std::fprintf(stderr, "rftc-report: %s: not a post-mortem bundle\n", path);
     return 1;
   }
 
   const json::Value* reason = doc.find("reason");
-  const int signo = static_cast<int>(pm_num(doc.find("signal")));
   std::printf("post-mortem bundle: %s\n", path);
   std::printf("reason:        %s",
               reason != nullptr && reason->is_string() ? reason->str.c_str()
                                                        : "?");
-  if (signo != 0) std::printf(" (signal %d)", signo);
+  if (*signo != 0) std::printf(" (signal %d)", static_cast<int>(*signo));
   if (const json::Value* detail = doc.find("detail");
       detail != nullptr && detail->is_string())
     std::printf("  [%s]", detail->str.c_str());
