@@ -110,8 +110,10 @@ void BM_CpaAddBatched(benchmark::State& state) {
 BENCHMARK(BM_CpaAddBatched)->Arg(64)->Arg(125)->Arg(250);
 
 /// The cpa-reattack geometry: all 16 bytes, random ciphertexts (so classes
-/// land in random order across a tile) and random traces.
-void BM_CpaAddBatched16(benchmark::State& state) {
+/// land in random order across a tile) and random traces: Gaussian floats,
+/// which no int16 grid holds (the double sums), or ADC-style box averages
+/// on the grid 2^-6 (the integer sums).
+void cpa_add_batched16(benchmark::State& state, bool adc) {
   const auto samples = static_cast<std::size_t>(state.range(0));
   std::vector<int> bytes(16);
   for (int b = 0; b < 16; ++b) bytes[static_cast<std::size_t>(b)] = b;
@@ -122,16 +124,30 @@ void BM_CpaAddBatched16(benchmark::State& state) {
   for (auto& ct : cts)
     for (auto& b : ct) b = static_cast<std::uint8_t>(rng.next());
   std::vector<float> traces(kPool * samples);
-  for (auto& v : traces) v = static_cast<float>(rng.gaussian());
+  for (auto& v : traces)
+    v = adc ? static_cast<float>(rng.uniform(1'025)) * (25.0f / 64)
+            : static_cast<float>(rng.gaussian());
   std::size_t i = 0;
   for (auto _ : state) {
     engine.add(cts[i], std::span<const float>(traces.data() + i * samples,
                                               samples));
     i = (i + 1) % kPool;
   }
+  // Once a tile has been flushed the sums have their type.
+  if (engine.count() >= engine.batch_size() && engine.integer_sums() != adc)
+    state.SkipWithError("the input picked the other sum type");
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_CpaAddBatched16(benchmark::State& state) {
+  cpa_add_batched16(state, false);
+}
 BENCHMARK(BM_CpaAddBatched16)->Arg(125);
+
+void BM_CpaAddBatched16Adc(benchmark::State& state) {
+  cpa_add_batched16(state, true);
+}
+BENCHMARK(BM_CpaAddBatched16Adc)->Arg(125);
 
 /// Feeds `n` random traces so a report pass sees realistic sums.
 template <class Engine>

@@ -109,13 +109,16 @@ int shift_rows_source(int p) {
 }
 
 void mix_columns(Block& s) {
+  // Row r is 2·a_r ^ 3·a_{r+1} ^ a_{r+2} ^ a_{r+3}
+  //        = a_r ^ t ^ xtime(a_r ^ a_{r+1}), with t the column's XOR.
   for (int c = 0; c < 4; ++c) {
     const auto i = static_cast<std::size_t>(4 * c);
     const std::uint8_t a0 = s[i], a1 = s[i + 1], a2 = s[i + 2], a3 = s[i + 3];
-    s[i] = gf::mul(a0, 2) ^ gf::mul(a1, 3) ^ a2 ^ a3;
-    s[i + 1] = a0 ^ gf::mul(a1, 2) ^ gf::mul(a2, 3) ^ a3;
-    s[i + 2] = a0 ^ a1 ^ gf::mul(a2, 2) ^ gf::mul(a3, 3);
-    s[i + 3] = gf::mul(a0, 3) ^ a1 ^ a2 ^ gf::mul(a3, 2);
+    const std::uint8_t t = a0 ^ a1 ^ a2 ^ a3;
+    s[i] = a0 ^ t ^ gf::xtime(a0 ^ a1);
+    s[i + 1] = a1 ^ t ^ gf::xtime(a1 ^ a2);
+    s[i + 2] = a2 ^ t ^ gf::xtime(a2 ^ a3);
+    s[i + 3] = a3 ^ t ^ gf::xtime(a3 ^ a0);
   }
 }
 

@@ -26,6 +26,12 @@ constexpr std::uint8_t mul(std::uint8_t a, std::uint8_t b) {
   return p;
 }
 
+/// Multiply by x (that is, by 2) in GF(2^8): a shift, reduced by 0x1B when
+/// bit 7 falls out.  Equal to mul(a, 2).
+constexpr std::uint8_t xtime(std::uint8_t a) {
+  return static_cast<std::uint8_t>((a << 1) ^ ((a >> 7) * 0x1B));
+}
+
 /// Multiplicative inverse in GF(2^8); inv(0) := 0 by AES convention.
 constexpr std::uint8_t inverse(std::uint8_t a) {
   if (a == 0) return 0;

@@ -36,20 +36,35 @@
 // correlation over the block with one peak_abs_correlation_scaled call.
 // Per-block peaks merge by max().
 //
-// Determinism: every per-element floating-point accumulation happens in
-// trace order regardless of tile boundaries.  The class sort is stable, so
-// each class-sum element still sees its traces in trace order; W and the
-// trace sums are walked in plain trace order.  The hypothesis sums are
-// exact integers, so their order is free.  Every WHT element sees the same
-// add/sub sequence whatever the panel width or kernel backend.  Flush and
-// report shards are a pure function of (bytes, samples).  So results
-// are bit-identical for any input — not only quantized traces —
-// any RFTC_THREADS and any batch size.  On raw ADC traces (multiples
-// of the 400/256 mV quantum) every product and partial sum is an exact
-// small multiple of that quantum, so the engine is additionally
-// bit-identical to the textbook per-trace accumulator — the scalar oracle
-// in tests/cpa_oracle.hpp, which the golden determinism test and
-// fig4_cpa_speedup compare it against.
+// Exact integer sums: every simulator trace is an ADC code times the LSB
+// 400/2^bits mV (box averages included), so each sample is v = k·2^-e for
+// a small integer k.  The first flush scans its tile for the coarsest such
+// grid e shared by all samples; when every |k| fits int16 the engine keeps
+// int32 class sums and int64 W/trace sums in units of 2^-e (2^-2e for
+// sum_t2).  Each flush then quantizes its tile to int16 codes in parallel
+// and runs the integer twins of the plane, W and trace-sum kernels (8
+// lanes per AVX2 op, half the bytes of the double rows).  A later tile
+// off that grid rescales every sum to a finer one when they all still
+// fit, and otherwise — and when a flush or merge could carry a class sum
+// past int32 — the engine promotes itself once, by exact conversion, to
+// double sums.  It never rounds, and it never holds both representations
+// outside that one promotion.  SumType::kDouble (PCA, FFT and DTW
+// features, which are not quantized) starts on the double sums.
+//
+// Determinism: the report reads each integer sum as the double k·2^-e,
+// which is exact, so it sees the very values the double sums hold whenever
+// those are exact — on ADC-quantized traces, up to 2^53 units per sum:
+// both representations give the same report bits.  Double sums accumulate
+// every element in trace order regardless of tile boundaries (the class
+// sort is stable; W and the trace sums are walked in plain trace order),
+// integer sums are order-free, and the hypothesis sums are exact integers
+// either way.  Every WHT element sees the same add/sub sequence whatever
+// the panel width or kernel backend, and flush and report shards are a
+// pure function of (bytes, samples).  So results are bit-identical for any
+// input — not only quantized traces — any RFTC_THREADS and any batch size,
+// and on raw ADC traces they are bit-identical to the textbook per-trace
+// accumulator — the scalar oracle in tests/cpa_oracle.hpp, which the
+// golden determinism test and fig4_cpa_speedup compare the engine against.
 #pragma once
 
 #include <array>
@@ -72,6 +87,11 @@ enum class CpaMode { kBatched };
 
 class CpaEngine {
  public:
+  /// kAuto: exact integer sums while the traces are quantized (see the file
+  /// comment), double sums otherwise.  kDouble: double sums from the first
+  /// trace, for features that are never quantized.
+  enum class SumType { kAuto, kDouble };
+
   /// RFTC_CPA_BATCH=<n> traces per tile (default env::kCpaBatchDefault,
   /// 1,024: ≈4 traces per class per tile, ≈0.5 MB of floats at S=125).
   static std::size_t default_batch_size();
@@ -80,7 +100,8 @@ class CpaEngine {
   /// default last-round model the recovered bytes belong to the round-10
   /// key; with the first-round model, to the master key.
   CpaEngine(std::size_t samples, std::vector<int> byte_positions,
-            aes::LeakageModel model = aes::LeakageModel::kLastRoundHd);
+            aes::LeakageModel model = aes::LeakageModel::kLastRoundHd,
+            SumType sums = SumType::kAuto);
 
   /// Accumulate one trace with its known plaintext/observed ciphertext.
   void add(const aes::Block& plaintext, const aes::Block& ciphertext,
@@ -91,6 +112,9 @@ class CpaEngine {
   std::size_t count() const { return n_; }
   std::size_t samples() const { return samples_; }
   const std::vector<int>& byte_positions() const { return bytes_; }
+
+  /// True while the sums are exact integers (see the file comment).
+  bool integer_sums() const { return rep_ == Rep::kInteger; }
 
   std::size_t batch_size() const { return batch_; }
   /// Resizes the tile (flushes any buffered traces first).
@@ -104,8 +128,10 @@ class CpaEngine {
   /// must have identical geometry (samples, byte positions, leakage model);
   /// any buffered tiles are flushed first, then every sum — per-sample
   /// trace sums, integer hypothesis sums and class sums — is combined
-  /// elementwise.  The integer sums are exact, and on
-  /// ADC-quantized traces the double sums are too, so merging is
+  /// elementwise.  Integer sums add as integers (the coarser grid shifted
+  /// onto the finer one); an integer engine meeting double sums, or a sum
+  /// that would leave its type, promotes first.  Integer sums are exact,
+  /// and on ADC-quantized traces the double sums are too, so merging is
   /// associative and bit-identical to a single engine fed shard A's traces
   /// then shard B's (the sharded-campaign contract; see docs/TESTING.md and
   /// tests/test_pbt_merge.cpp).  Throws std::invalid_argument on mismatch.
@@ -113,24 +139,29 @@ class CpaEngine {
   /// Folds a serialize() snapshot straight into this engine, without
   /// building a second engine from it: bit-identical to
   /// merge(deserialize(blob)).  Every check deserialize() runs (CRC, magic,
-  /// tags, byte positions, exact payload size) and the geometry match pass
-  /// before the first element is added, so a throw leaves this engine
-  /// untouched: std::runtime_error on a corrupt blob, std::invalid_argument
-  /// on a well-formed snapshot of another geometry.
+  /// tags, grid, byte positions, exact payload size, canonical form and
+  /// the bounds on every sum) and the geometry match pass before the first
+  /// element is added, so a throw leaves this engine untouched:
+  /// std::runtime_error on a corrupt blob, std::invalid_argument on a
+  /// well-formed snapshot of another geometry.
   void merge(std::span<const unsigned char> blob);
 
   /// Byte-exact snapshot of the engine state for the distributed campaign
   /// protocol: geometry (samples, byte positions, model) plus every
-  /// accumulator array, raw doubles/int64s with a trailing CRC-32.  The
-  /// u32 after the magic is an engine tag, always 1: tag 0 marked the
-  /// per-guess cross sums of an older streaming engine, and any tag but 1
-  /// is rejected with std::runtime_error.  Any
-  /// buffered tile is flushed first, so the blob is independent of the
-  /// batch size.  deserialize() reconstructs an engine whose merge() and
-  /// report() are bit-identical to the original — it parses the header,
-  /// constructs the engine and folds the arrays in through the same code as
-  /// merge(blob); corrupt, truncated or wrong-magic payloads throw
-  /// std::runtime_error instead of merging garbage.
+  /// accumulator array with a trailing CRC-32.  The snapshot is canonical:
+  /// it depends on the sums alone, not on the representation, tile size or
+  /// merge history that produced them.  The u32 after the magic is an
+  /// engine tag.  Tag 3: every sum is an integer on one grid 2^-e (sum_t2
+  /// on 2^-2e) inside its integer type; the arrays are int64 except the
+  /// int32 class sums, on the coarsest grid that holds every sum.  Tag 1
+  /// otherwise: raw doubles and int64s.  Tag 0 marked the per-guess cross sums of an older streaming
+  /// engine; it, tag 2 and non-canonical tag-3 snapshots are rejected with
+  /// std::runtime_error.  Any buffered tile is flushed first.
+  /// deserialize() reconstructs an engine whose merge() and report() are
+  /// bit-identical to the original — it parses the header, constructs the
+  /// engine and folds the arrays in through the same code as merge(blob);
+  /// corrupt, truncated or wrong-magic payloads throw std::runtime_error
+  /// instead of merging garbage.
   ///
   /// The Writer overload is the one serializer: it streams the snapshot
   /// straight from the accumulator arrays into `out` (a file, for a
@@ -156,36 +187,77 @@ class CpaEngine {
   std::vector<ByteReport> report() const;
 
  private:
-  /// Drains the tile into the class sums (byte-sharded, class-sorted).
+  /// Where the sums live: none yet (no trace flushed), integers on the
+  /// grid 2^-exp_, or doubles.
+  enum class Rep : std::uint8_t { kPending, kInteger, kDouble };
+
+  /// Per-sample trace sums t/t2 and class sums (see the file comment).
+  /// Last-round: w[b][s] = Σ_i w(y_i)·t_i[s] and
+  /// d[b][x][k][s] = Σ_{i: x_i=x} (1 − 2·bit_k(y_i))·t_i[s].
+  /// First-round: h has no y term, so w is empty and the bit planes
+  /// coincide: d[b][x][s] = Σ_{i: x_i=x} t_i[s].
+  template <class Wide, class Row>
+  struct SumArrays {
+    std::vector<Wide> t, t2, w;
+    std::vector<Row> d;
+  };
+  struct SumsView;
+
+  /// Drains the tile into the sums (byte-sharded, class-sorted).
   void flush() const;
-  /// Adds a validated snapshot's `n` and arrays (`arrays` positioned at the
-  /// first one, holding exactly this geometry's payload) into this engine.
-  void fold(std::uint64_t n, wire::Reader& arrays);
+  template <class In, class Wide, class Row>
+  void flush_tile(const In* tile, SumArrays<Wide, Row>& sums,
+                  std::uint32_t* bound, std::uint32_t kmax) const;
+  /// Quantizes the tile into tile_codes_ when the sums can take it as
+  /// integers — picking the grid on the first flush, rescaling to a finer
+  /// one when needed — and returns true; otherwise moves to double sums
+  /// and returns false.
+  bool codes_for_tile() const;
+  /// Codes of the tile on the grid 2^-e, in parallel; their largest
+  /// magnitude, or -1 when a sample is off that grid or past int16.
+  std::int64_t quantize_tile(int e) const;
+  /// True when flushing the tile's codes, of magnitude at most `kmax`,
+  /// keeps every sum in its type.
+  bool tile_fits(std::uint64_t kmax) const;
+  /// Moves every integer sum onto the grid 2^-(exp_ + d), d > 0, if they
+  /// all still fit; false, changing nothing, otherwise.
+  bool rescale(int d) const;
+  /// Integer sums to doubles, exactly; frees the integers.
+  void promote() const;
+  template <class Wide, class Row>
+  void allocate(SumArrays<Wide, Row>& sums) const;
+  /// Adds `n` and another engine's or a validated snapshot's sums.
+  void fold(std::uint64_t n, const SumsView& v);
+  std::int64_t max_t2() const;
 
   std::size_t samples_;
   std::vector<int> bytes_;
   aes::LeakageModel model_;
+  SumType sum_type_;
   std::size_t batch_;
   std::size_t n_ = 0;
 
-  // Per-sample trace sums (updated during flush).
-  mutable std::vector<double> sum_t_, sum_t2_;
   // Per (byte, guess) scalar hypothesis sums.  h is an integer in 0..8, so
   // int64 accumulation is exact and trivially order-independent (updated
   // during flush).
   mutable std::vector<std::int64_t> sum_h_, sum_h2_;
 
-  // Class sums (see file comment).
-  // Last-round: W_[b][s] = Σ_i w(y_i)·t_i[s] and
-  // D_[b][x][k][s] = Σ_{i: x_i=x} (1 − 2·bit_k(y_i))·t_i[s].
-  // First-round: h has no y term, so W_ is unused and the bit planes
-  // coincide: D_[b][x][s] = Σ_{i: x_i=x} t_i[s].
-  mutable std::vector<double> class_w_;
-  mutable std::vector<double> class_d_;
-  // Tile of buffered traces (kept as raw float — no per-trace double copy)
-  // and their per-byte class inputs x (and y for the last-round model),
-  // from which the flush also rebuilds the hypothesis rows.
+  mutable Rep rep_;
+  mutable int exp_ = 0;
+  mutable SumArrays<double, double> dsum_;
+  mutable SumArrays<std::int64_t, std::int32_t> isum_;
+  /// Integer sums: per (byte, class) bound on |d| over the class's planes
+  /// and samples, at most INT32_MAX.
+  mutable std::vector<std::uint32_t> bound_;
+
+  // Tile of buffered traces (kept as raw float — no per-trace double
+  // copy), on integer sums also as int16 codes on the grid, quantized in
+  // parallel by the flush (with their largest magnitude), and the traces'
+  // per-byte class inputs x (and y for the last-round model), from which
+  // the flush also rebuilds the hypothesis rows.
   mutable std::vector<float> tile_traces_;
+  mutable std::vector<std::int16_t> tile_codes_;
+  mutable std::uint32_t tile_kmax_ = 0;
   mutable std::vector<std::uint8_t> tile_x_, tile_y_;
   mutable std::size_t tile_count_ = 0;
 };

@@ -32,16 +32,6 @@ Picoseconds switch_latency(Picoseconds from_ps, Picoseconds to_ps,
   return t;
 }
 
-Picoseconds worst_case_switch_latency(Picoseconds from_ps, Picoseconds to_ps) {
-  if (from_ps <= 0 || to_ps <= 0)
-    throw std::invalid_argument(
-        "worst_case_switch_latency: non-positive period");
-  // Worst case of step 1 is a full high phase of the old clock; worst case
-  // of step 2 is catching the new clock right after its rising edge: a wait
-  // through the rest of its high phase plus a full low phase.
-  return from_ps / 2 + to_ps;
-}
-
 MuxedClock::MuxedClock(std::vector<Picoseconds> source_periods,
                        bool model_overhead, Picoseconds start)
     : periods_(std::move(source_periods)),

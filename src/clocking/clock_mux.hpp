@@ -32,14 +32,6 @@ Picoseconds switch_latency(Picoseconds from_ps, Picoseconds to_ps,
                            Picoseconds from_phase_ps,
                            Picoseconds to_phase_ps);
 
-/// Upper bound of switch_latency over all phases: the dead time a select
-/// change must be granted before the new clock's first output edge is
-/// guaranteed clean.  A switch taken sooner — which is exactly what the
-/// paper's idealized per-round selection does, since its completion-time
-/// arithmetic charges no overhead — risks a runt pulse; the mux-glitch
-/// fault family (fault::FaultSpec::mux_glitch_rate) models that hazard.
-Picoseconds worst_case_switch_latency(Picoseconds from_ps, Picoseconds to_ps);
-
 /// Period-level muxed clock: a set of source periods and a glitch-free
 /// select.  `advance(sel)` consumes one full period of source `sel` and
 /// returns the rising-edge time that ends it.  Optionally charges the

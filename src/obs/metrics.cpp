@@ -220,9 +220,4 @@ void Registry::reset_values() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-std::size_t Registry::metric_count() const {
-  std::lock_guard lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size();
-}
-
 }  // namespace rftc::obs

@@ -125,8 +125,6 @@ class Registry {
   /// for benches that want per-phase deltas.
   void reset_values();
 
-  std::size_t metric_count() const;
-
  private:
   Registry() = default;
 

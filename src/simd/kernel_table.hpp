@@ -11,6 +11,13 @@ struct KernelTable {
   void (*accumulate_sums_f)(const float*, double*, double*, std::size_t);
   void (*add_f)(const float*, double*, std::size_t);
   void (*sub_f)(const float*, double*, std::size_t);
+  void (*add_planes_i16)(const std::int16_t*, std::int32_t*, std::size_t,
+                         unsigned, unsigned, std::size_t);
+  void (*axpy_i16)(std::int32_t, const std::int16_t*, std::int64_t*,
+                   std::size_t);
+  void (*accumulate_sums_i16)(const std::int16_t*, std::int64_t*,
+                              std::int64_t*, std::size_t);
+  void (*widen_i32)(const std::int32_t*, double*, std::size_t);
   void (*axpy)(double, const double*, double*, std::size_t);
   void (*axpy_f)(double, const float*, double*, std::size_t);
   void (*wht256)(double*, std::size_t);

@@ -41,6 +41,36 @@ void s_sub_f(const float* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] -= static_cast<double>(x[i]);
 }
 
+void s_add_planes_i16(const std::int16_t* x, std::int32_t* rows,
+                      std::size_t stride, unsigned planes, unsigned negate,
+                      std::size_t n) {
+  for (unsigned k = 0; k < planes; ++k) {
+    std::int32_t* y = rows + k * stride;
+    if ((negate >> k) & 1)
+      for (std::size_t i = 0; i < n; ++i) y[i] -= x[i];
+    else
+      for (std::size_t i = 0; i < n; ++i) y[i] += x[i];
+  }
+}
+
+void s_axpy_i16(std::int32_t a, const std::int16_t* x, std::int64_t* y,
+                std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += std::int64_t{a * x[i]};
+}
+
+void s_accumulate_sums_i16(const std::int16_t* x, std::int64_t* s1,
+                           std::int64_t* s2, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t v = x[i];
+    s1[i] += v;
+    s2[i] += v * v;
+  }
+}
+
+void s_widen_i32(const std::int32_t* x, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = static_cast<double>(x[i]);
+}
+
 void s_axpy(double a, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
@@ -163,6 +193,10 @@ const KernelTable& scalar_table() {
       s_accumulate_sums_f,
       s_add_f,
       s_sub_f,
+      s_add_planes_i16,
+      s_axpy_i16,
+      s_accumulate_sums_i16,
+      s_widen_i32,
       s_axpy,
       s_axpy_f,
       s_wht256,
@@ -210,6 +244,26 @@ void accumulate_sums_f(const float* t, double* s1, double* s2, std::size_t n) {
 void add_f(const float* x, double* y, std::size_t n) { table().add_f(x, y, n); }
 
 void sub_f(const float* x, double* y, std::size_t n) { table().sub_f(x, y, n); }
+
+void add_planes_i16(const std::int16_t* x, std::int32_t* rows,
+                    std::size_t stride, unsigned planes, unsigned negate,
+                    std::size_t n) {
+  table().add_planes_i16(x, rows, stride, planes, negate, n);
+}
+
+void axpy_i16(std::int32_t a, const std::int16_t* x, std::int64_t* y,
+              std::size_t n) {
+  table().axpy_i16(a, x, y, n);
+}
+
+void accumulate_sums_i16(const std::int16_t* x, std::int64_t* s1,
+                         std::int64_t* s2, std::size_t n) {
+  table().accumulate_sums_i16(x, s1, s2, n);
+}
+
+void widen_i32(const std::int32_t* x, double* y, std::size_t n) {
+  table().widen_i32(x, y, n);
+}
 
 void axpy(double a, const double* x, double* y, std::size_t n) {
   table().axpy(a, x, y, n);

@@ -1,5 +1,5 @@
 // rftc::simd — runtime-dispatched vectorization layer for the analysis hot
-// paths (CPA class sums, Welch-t raw sums, leakage models, correlation
+// paths (CPA class sums, double and integer, Welch-t raw sums, leakage models, correlation
 // sweeps) and for the CRC-32 behind every trace-store chunk and wire blob.
 //
 // Two backends implement one kernel table: a portable scalar fallback
@@ -70,6 +70,29 @@ void add_f(const float* x, double* y, std::size_t n);
 
 /// y[i] -= x[i] (float input, double accumulator).
 void sub_f(const float* x, double* y, std::size_t n);
+
+/// Integer twins of the plane, W and trace-sum updates, for exact class
+/// sums on ADC-quantized traces: int16 codes in, 8 lanes per AVX2 op.
+/// Integer adds are exact, so they are bit-identical on every backend; the
+/// caller keeps every sum inside its type (CpaEngine bounds them before a
+/// flush).
+/// rows[k * stride + i] += x[i] for k < planes <= 8, or -= x[i] where bit k
+/// of `negate` is set (int32 accumulators): one trace into a class's
+/// planes.
+void add_planes_i16(const std::int16_t* x, std::int32_t* rows,
+                    std::size_t stride, unsigned planes, unsigned negate,
+                    std::size_t n);
+
+/// y[i] += a * x[i] (int64 accumulator; |a| <= 2^16).
+void axpy_i16(std::int32_t a, const std::int16_t* x, std::int64_t* y,
+              std::size_t n);
+
+/// s1[i] += x[i]; s2[i] += x[i] * x[i] (int64 accumulators).
+void accumulate_sums_i16(const std::int16_t* x, std::int64_t* s1,
+                         std::int64_t* s2, std::size_t n);
+
+/// y[i] = (double)x[i], exact.
+void widen_i32(const std::int32_t* x, double* y, std::size_t n);
 
 /// y[i] += a * x[i] (explicit mul-then-add; never an FMA).
 void axpy(double a, const double* x, double* y, std::size_t n);

@@ -9,6 +9,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace rftc::simd::detail {
@@ -50,6 +51,114 @@ void v_sub_f(const float* x, double* y, std::size_t n) {
     _mm256_storeu_pd(
         y + i, _mm256_sub_pd(_mm256_loadu_pd(y + i), load4f_as_pd(x + i)));
   for (; i < n; ++i) y[i] -= static_cast<double>(x[i]);
+}
+
+inline __m256i load8_i16_as_i32(const std::int16_t* x) {
+  return _mm256_cvtepi16_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(x)));
+}
+
+inline __m256i load8_i32(const std::int32_t* y) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y));
+}
+
+inline void store8_i32(std::int32_t* y, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(y), v);
+}
+
+/// y[0..8) += the eight int32 lanes of v, widened to int64.
+inline void add8_i32_to_i64(std::int64_t* y, __m256i v) {
+  auto* lo = reinterpret_cast<__m256i*>(y);
+  auto* hi = reinterpret_cast<__m256i*>(y + 4);
+  _mm256_storeu_si256(
+      lo, _mm256_add_epi64(_mm256_loadu_si256(lo),
+                           _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v))));
+  _mm256_storeu_si256(
+      hi, _mm256_add_epi64(_mm256_loadu_si256(hi),
+                           _mm256_cvtepi32_epi64(
+                               _mm256_extracti128_si256(v, 1))));
+}
+
+// Each 8-lane chunk of the trace is widened once and then added to every
+// plane row while it sits in a register, negated by vpsignd where the
+// plane's bit is set.  The last n % 8 lanes go through a zero-padded copy
+// of the trace tail and masked loads and stores, so no byte past either
+// row is touched.
+template <unsigned kPlanes>
+void add_planes_fixed(const std::int16_t* x, std::int32_t* rows,
+                      std::size_t stride, unsigned planes, unsigned negate,
+                      std::size_t n) {
+  const unsigned p = kPlanes != 0 ? kPlanes : planes;
+  __m256i sign[8];
+  for (unsigned k = 0; k < p; ++k)
+    sign[k] = _mm256_set1_epi32((negate >> k) & 1 ? -1 : 1);
+  const auto add = [&](unsigned k, std::size_t i, __m256i v) {
+    std::int32_t* y = rows + k * stride + i;
+    store8_i32(y, _mm256_add_epi32(load8_i32(y), _mm256_sign_epi32(v, sign[k])));
+  };
+  const std::size_t body = n & ~std::size_t{7};
+  for (std::size_t i = 0; i < body; i += 8) {
+    const __m256i v = load8_i16_as_i32(x + i);
+#pragma GCC unroll 8
+    for (unsigned k = 0; k < p; ++k) add(k, i, v);
+  }
+  if (body == n) return;
+  alignas(16) std::int16_t tail[8] = {};
+  for (std::size_t i = body; i < n; ++i) tail[i - body] = x[i];
+  static constexpr std::int32_t kLanes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                              0,  0,  0,  0,  0,  0,  0,  0};
+  const __m256i mask = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kLanes + 8 - (n - body)));
+  const __m256i v = load8_i16_as_i32(tail);
+  for (unsigned k = 0; k < p; ++k) {
+    std::int32_t* y = rows + k * stride + body;
+    _mm256_maskstore_epi32(
+        y, mask,
+        _mm256_add_epi32(_mm256_maskload_epi32(y, mask),
+                         _mm256_sign_epi32(v, sign[k])));
+  }
+}
+
+void v_add_planes_i16(const std::int16_t* x, std::int32_t* rows,
+                      std::size_t stride, unsigned planes, unsigned negate,
+                      std::size_t n) {
+  if (planes == 8)
+    add_planes_fixed<8>(x, rows, stride, planes, negate, n);
+  else
+    add_planes_fixed<0>(x, rows, stride, std::min(planes, 8u), negate, n);
+}
+
+// |a * x| <= 2^31 - 2^16 fits the int32 product lanes before widening.
+void v_axpy_i16(std::int32_t a, const std::int16_t* x, std::int64_t* y,
+                std::size_t n) {
+  const __m256i va = _mm256_set1_epi32(a);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    add8_i32_to_i64(y + i, _mm256_mullo_epi32(va, load8_i16_as_i32(x + i)));
+  for (; i < n; ++i) y[i] += std::int64_t{a * x[i]};
+}
+
+void v_accumulate_sums_i16(const std::int16_t* x, std::int64_t* s1,
+                           std::int64_t* s2, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i v = load8_i16_as_i32(x + i);
+    add8_i32_to_i64(s1 + i, v);
+    add8_i32_to_i64(s2 + i, _mm256_mullo_epi32(v, v));
+  }
+  for (; i < n; ++i) {
+    const std::int32_t v = x[i];
+    s1[i] += v;
+    s2[i] += v * v;
+  }
+}
+
+void v_widen_i32(const std::int32_t* x, double* y, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_pd(y + i, _mm256_cvtepi32_pd(_mm_loadu_si128(
+                                reinterpret_cast<const __m128i*>(x + i))));
+  for (; i < n; ++i) y[i] = static_cast<double>(x[i]);
 }
 
 void v_axpy(double a, const double* x, double* y, std::size_t n) {
@@ -272,6 +381,10 @@ const KernelTable& avx2_table() {
       v_accumulate_sums_f,
       v_add_f,
       v_sub_f,
+      v_add_planes_i16,
+      v_axpy_i16,
+      v_accumulate_sums_i16,
+      v_widen_i32,
       v_axpy,
       v_axpy_f,
       v_wht256,

@@ -157,17 +157,9 @@ class Reader {
     bytes(reinterpret_cast<unsigned char*>(data), count * sizeof(T));
   }
 
-  /// Adds the next `count` values elementwise into `into` — array()'s
-  /// merge-side twin, folding a snapshot without a second copy of it.
-  template <typename T>
-  void add_array(T* into, std::size_t count) {
-    const unsigned char* src = take(count * sizeof(T));
-    for (std::size_t i = 0; i < count; ++i) {
-      T v{};
-      std::memcpy(&v, src + i * sizeof(T), sizeof(T));
-      into[i] += v;
-    }
-  }
+  /// The next `n` bytes in place, unaligned: how a snapshot's bulk arrays
+  /// are folded without a second copy of them.
+  std::span<const unsigned char> view(std::size_t n) { return {take(n), n}; }
 
   /// Bytes not yet read.
   std::size_t remaining() const { return blob_.size(); }

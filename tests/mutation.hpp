@@ -1,15 +1,25 @@
-// Random byte mutations for parser fuzzing with rftc::pbt: a mutation is a
-// handful of XOR edits of a valid document (a sealed wire blob, a protocol
-// file, a JSON report), optionally confined to a header and resealed so it
-// gets past the trailing CRC.  Properties draw one with random_mutation(),
-// apply it with mutated(), and hand shrink_mutation / describe_mutation to
-// pbt::check so a falsified case shrinks to a single edit and prints as
-// "raw edits: 17^4".
+// Mutations for parser fuzzing.
+//
+// Random byte mutations, for rftc::pbt: a mutation is a handful of XOR
+// edits of a valid document (a sealed wire blob, a protocol file, a JSON
+// report), optionally confined to a header and resealed so it gets past the
+// trailing CRC.  Properties draw one with random_mutation(), apply it with
+// mutated(), and hand shrink_mutation / describe_mutation to pbt::check so
+// a falsified case shrinks to a single edit and prints as "raw edits: 17^4".
+//
+// Boundary values, enumerated: a byte edit almost never turns one valid
+// number into another, so the out-of-range and non-integral numbers that
+// break integer parsers get their own mutations.  with_number() swaps one
+// number token of a JSON text for each of boundary_numbers(); with_field()
+// sets one little-endian field of a sealed blob's header to each of
+// boundary_values() and reseals it.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,6 +83,90 @@ inline std::string describe_mutation(const BlobMutation& m) {
   for (const auto& [at, mask] : m.edits)
     os << " " << at << "^" << static_cast<unsigned>(mask);
   return os.str();
+}
+
+// ---- Boundary values -------------------------------------------------------
+
+/// Numbers an integer field must not take at face value: negative,
+/// fractional, past every integer type, and 2^64.
+inline const std::vector<std::string>& boundary_numbers() {
+  static const std::vector<std::string> v = {"-1", "1.5", "1e30",
+                                             "18446744073709551616"};
+  return v;
+}
+
+/// [begin, end) of every number token of JSON text, outside strings.
+inline std::vector<std::pair<std::size_t, std::size_t>> json_number_tokens(
+    std::string_view text) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  bool in_string = false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      if (c == '\\')
+        ++i;
+      else if (c == '"')
+        in_string = false;
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+      continue;
+    }
+    if (c != '-' && (c < '0' || c > '9')) continue;
+    const std::size_t begin = i;
+    while (i < text.size() &&
+           std::string_view("0123456789+-.eE").find(text[i]) !=
+               std::string_view::npos)
+      ++i;
+    out.emplace_back(begin, i);
+    --i;
+  }
+  return out;
+}
+
+/// `text` with the number token [token.first, token.second) replaced.
+inline std::string with_number(std::string_view text,
+                               std::pair<std::size_t, std::size_t> token,
+                               std::string_view value) {
+  std::string out(text.substr(0, token.first));
+  out += value;
+  out += text.substr(token.second);
+  return out;
+}
+
+/// A little-endian unsigned field of a blob's header: offset and width in
+/// bytes (at most 8).
+struct Field {
+  std::size_t offset = 0;
+  std::size_t width = 4;
+};
+
+inline std::uint64_t field_value(const std::vector<unsigned char>& blob,
+                                 Field f) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < f.width; ++i)
+    v |= std::uint64_t{blob.at(f.offset + i)} << (8 * i);
+  return v;
+}
+
+/// Edge values of a field: 0, 1, all ones (-1), the signed maximum and
+/// minimum, and the field's own value plus and minus one.
+inline std::vector<std::uint64_t> boundary_values(
+    const std::vector<unsigned char>& blob, Field f) {
+  const std::uint64_t ones =
+      f.width >= 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * f.width)) - 1;
+  const std::uint64_t sign = std::uint64_t{1} << (8 * f.width - 1);
+  const std::uint64_t now = field_value(blob, f);
+  return {0, 1, ones, sign - 1, sign, (now + 1) & ones, (now - 1) & ones};
+}
+
+/// `blob` with field `f` set to `v` and resealed.
+inline std::vector<unsigned char> with_field(std::vector<unsigned char> blob,
+                                             Field f, std::uint64_t v) {
+  for (std::size_t i = 0; i < f.width; ++i)
+    blob.at(f.offset + i) = static_cast<unsigned char>(v >> (8 * i));
+  return resealed(blob);
 }
 
 }  // namespace rftc::fuzz

@@ -155,6 +155,30 @@ TEST(Aes128, MixColumnsKnownVector) {
   EXPECT_EQ(s[3], 0xBC);
 }
 
+TEST(Aes128, MixColumnsMatchesTheFieldMultiplyFormula) {
+  // FIPS-197 §5.1.3 spelled with gf::mul, against the xtime form.
+  for (std::uint32_t a = 0; a < 256; ++a)
+    EXPECT_EQ(gf::xtime(static_cast<std::uint8_t>(a)),
+              gf::mul(static_cast<std::uint8_t>(a), 2))
+        << a;
+  Xoshiro256StarStar rng(0x3C);
+  for (int trial = 0; trial < 2'000; ++trial) {
+    Block s{};
+    for (auto& b : s) b = static_cast<std::uint8_t>(rng.next());
+    Block want = s;
+    for (std::size_t i = 0; i < 16; i += 4) {
+      const std::uint8_t a0 = s[i], a1 = s[i + 1], a2 = s[i + 2],
+                         a3 = s[i + 3];
+      want[i] = gf::mul(a0, 2) ^ gf::mul(a1, 3) ^ a2 ^ a3;
+      want[i + 1] = a0 ^ gf::mul(a1, 2) ^ gf::mul(a2, 3) ^ a3;
+      want[i + 2] = a0 ^ a1 ^ gf::mul(a2, 2) ^ gf::mul(a3, 3);
+      want[i + 3] = gf::mul(a0, 3) ^ a1 ^ a2 ^ gf::mul(a3, 2);
+    }
+    mix_columns(s);
+    ASSERT_EQ(s, want) << "trial " << trial;
+  }
+}
+
 TEST(Aes128, MixColumnsInverse) {
   Xoshiro256StarStar rng(123);
   for (int trial = 0; trial < 50; ++trial) {

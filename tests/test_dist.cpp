@@ -479,9 +479,15 @@ TEST(DistPlanShards, RejectsDegenerateInputs) {
 // --------------------------------------------------------------------------
 // Accumulator snapshots (wire format)
 
+/// 2^-7: the default quantum of make_synthetic_engine.
+constexpr float kDyadicQuantum = 0.0078125f;
+/// A quantum whose multiples need 24-bit codes: double sums, tag-1 blobs.
+constexpr float kThirdQuantum = 1.0f / 3;
+
 analysis::CpaEngine make_synthetic_engine(std::size_t samples,
                                           std::size_t traces,
-                                          std::vector<int> bytes = {0, 3}) {
+                                          std::vector<int> bytes = {0, 3},
+                                          float quantum = kDyadicQuantum) {
   analysis::CpaEngine engine(samples, std::move(bytes));
   std::mt19937 rng(0xC0FFEE);
   for (std::size_t i = 0; i < traces; ++i) {
@@ -492,7 +498,7 @@ analysis::CpaEngine make_synthetic_engine(std::size_t samples,
     // accumulators of split halves merge bit-identically (the contract the
     // campaign tests then prove end to end on real traces).
     for (auto& v : tr)
-      v = static_cast<float>(static_cast<int>(rng() % 256) - 128) * 0.0078125f;
+      v = static_cast<float>(static_cast<int>(rng() % 256) - 128) * quantum;
     engine.add(ct, tr);
   }
   return engine;
@@ -700,24 +706,41 @@ TEST(DistSerialize, CpaForgedGeometryRejectedBeforeAllocating) {
       << "1 = accepted, 2 = std::bad_alloc (allocated before validating)";
 }
 
-/// Byte offsets at which a CPA blob's sections start, plus its size: magic,
-/// the engine and model tags, samples, byte count, trace count, byte
-/// positions, every accumulator array and the CRC trailer.
-std::vector<std::size_t> cpa_section_bounds(const analysis::CpaEngine& e,
-                                            aes::LeakageModel model) {
+/// Byte offsets at which a CPA blob of engine `e`'s geometry starts each
+/// section, plus its size: magic, the engine and model tags, samples, byte
+/// count, trace count, byte positions, the grid (exponent and class-sum
+/// width; integer snapshots only), every accumulator array and the CRC
+/// trailer.
+std::vector<std::size_t> cpa_section_bounds(
+    const analysis::CpaEngine& e, aes::LeakageModel model,
+    const std::vector<unsigned char>& blob) {
   const std::size_t nb = e.byte_positions().size(), s = e.samples();
-  std::vector<std::size_t> lens = {8, 4, 4, 8, 8, 8, 4 * nb,
-                                   8 * s, 8 * s, 8 * 256 * nb, 8 * 256 * nb};
+  const bool integer = blob.at(8) == 3;
+  std::vector<std::size_t> lens = {8, 4, 4, 8, 8, 8, 4 * nb};
+  std::size_t width = 8;
+  if (integer) {
+    lens.push_back(8);
+    width = blob.at(44 + 4 * nb);
+  }
+  for (const std::size_t len : {8 * s, 8 * s, 8 * 256 * nb, 8 * 256 * nb})
+    lens.push_back(len);
   if (model == aes::LeakageModel::kLastRoundHd) {
     lens.push_back(8 * nb * s);
-    lens.push_back(8 * nb * 256 * 8 * s);
+    lens.push_back(width * nb * 256 * 8 * s);
   } else {
-    lens.push_back(8 * nb * 256 * s);
+    lens.push_back(width * nb * 256 * s);
   }
   lens.push_back(4);
   std::vector<std::size_t> bounds = {0};
   for (const std::size_t len : lens) bounds.push_back(bounds.back() + len);
   return bounds;
+}
+
+/// Offset of a CPA blob's first accumulator array: the end of its header.
+std::size_t cpa_header_size(const analysis::CpaEngine& e,
+                            const std::vector<unsigned char>& blob) {
+  return cpa_section_bounds(e, aes::LeakageModel::kLastRoundHd,
+                            blob)[blob.at(8) == 3 ? 8 : 7];
 }
 
 /// The one-parser contract for a candidate blob: deserialize() and
@@ -807,22 +830,26 @@ TEST(DistSerialize, CpaMergeBlobRejectsOtherGeometryUntouched) {
 
 TEST(DistSerialize, CpaBlobTruncatedAtEverySectionBoundary) {
   const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
-  const std::vector<unsigned char> blob =
-      make_synthetic_engine(24, 16, {0, 3, 7}).serialize();
-  const std::vector<std::size_t> bounds =
-      cpa_section_bounds(target, aes::LeakageModel::kLastRoundHd);
-  ASSERT_EQ(bounds.back(), blob.size());
-  for (const std::size_t cut : bounds) {
-    for (const std::size_t len : {cut, cut > 0 ? cut - 1 : 0, cut + 1}) {
-      if (len >= blob.size()) continue;
-      const std::vector<unsigned char> prefix(blob.begin(),
-                                              blob.begin() + len);
-      for (const auto& cand : {prefix, resealed(prefix)}) {
-        const std::optional<std::string> bad = blob_contract(cand, target);
-        EXPECT_FALSE(bad) << *bad << " (length " << len << ")";
-        // A truncated snapshot is never a valid one.
-        analysis::CpaEngine t = target;
-        EXPECT_ANY_THROW(t.merge(cand)) << "length " << cand.size();
+  // An integer snapshot (tag 3) and a double one (tag 1).
+  for (const float quantum : {kDyadicQuantum, kThirdQuantum}) {
+    const std::vector<unsigned char> blob =
+        make_synthetic_engine(24, 16, {0, 3, 7}, quantum).serialize();
+    ASSERT_EQ(blob.at(8), quantum == kDyadicQuantum ? 3 : 1);
+    const std::vector<std::size_t> bounds =
+        cpa_section_bounds(target, aes::LeakageModel::kLastRoundHd, blob);
+    ASSERT_EQ(bounds.back(), blob.size());
+    for (const std::size_t cut : bounds) {
+      for (const std::size_t len : {cut, cut > 0 ? cut - 1 : 0, cut + 1}) {
+        if (len >= blob.size()) continue;
+        const std::vector<unsigned char> prefix(blob.begin(),
+                                                blob.begin() + len);
+        for (const auto& cand : {prefix, resealed(prefix)}) {
+          const std::optional<std::string> bad = blob_contract(cand, target);
+          EXPECT_FALSE(bad) << *bad << " (length " << len << ")";
+          // A truncated snapshot is never a valid one.
+          analysis::CpaEngine t = target;
+          EXPECT_ANY_THROW(t.merge(cand)) << "length " << cand.size();
+        }
       }
     }
   }
@@ -854,8 +881,7 @@ TEST(DistSerialize, CpaBlobRandomMutationsKeepTheParserContract) {
   const std::vector<unsigned char> blob =
       make_synthetic_engine(24, 16, {0, 3, 7}).serialize();
   // Header: everything before the first accumulator array.
-  const std::size_t header =
-      cpa_section_bounds(target, aes::LeakageModel::kLastRoundHd)[7];
+  const std::size_t header = cpa_header_size(target, blob);
   EXPECT_TRUE(pbt::check<BlobMutation>(
       "cpa_blob_mutation",
       [&](pbt::Rng& rng) { return random_mutation(rng, blob.size(), header); },
@@ -864,6 +890,47 @@ TEST(DistSerialize, CpaBlobRandomMutationsKeepTheParserContract) {
       },
       pbt::Config::from_env(0x3B10B5EED, 100), shrink_mutation,
       describe_mutation));
+}
+
+TEST(DistSerialize, CpaIntegerHeaderBoundaryValuesKeepTheParserContract) {
+  const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
+  const std::vector<unsigned char> blob =
+      make_synthetic_engine(24, 16, {0, 3, 7}).serialize();
+  ASSERT_EQ(blob.at(8), 3);
+  // Engine tag, model tag, samples, byte count, trace count, the three
+  // byte positions, then the grid: exponent and class-sum width.
+  const fuzz::Field exponent{52, 4}, width{56, 4};
+  std::vector<fuzz::Field> fields = {{8, 4}, {12, 4}, {16, 8}, {24, 8},
+                                     {32, 8}, {40, 4}, {44, 4}, {48, 4},
+                                     exponent, width};
+  std::size_t accepted = 0;
+  for (const fuzz::Field& f : fields) {
+    for (const std::uint64_t v : fuzz::boundary_values(blob, f)) {
+      const std::vector<unsigned char> cand = fuzz::with_field(blob, f, v);
+      const std::optional<std::string> bad = blob_contract(cand, target);
+      EXPECT_FALSE(bad) << *bad << " (field at " << f.offset << " = " << v
+                        << ")";
+      try {
+        (void)analysis::CpaEngine::deserialize(cand);
+        ++accepted;
+      } catch (const std::exception&) {
+      }
+    }
+  }
+  // Some edits stay valid snapshots (another trace count, a neighbouring
+  // grid holding the same odd integers); the rest must be rejected.
+  EXPECT_GT(accepted, 0u);
+  // Grids past ±256 and class-sum widths other than 4 never parse.
+  for (const std::uint32_t e : {257u, 0xFFFFFEFFu, 0x7FFFFFFFu, 0x80000000u})
+    EXPECT_THROW((void)analysis::CpaEngine::deserialize(
+                     fuzz::with_field(blob, exponent, e)),
+                 std::runtime_error)
+        << "exponent " << static_cast<std::int32_t>(e);
+  for (const std::uint32_t w : {0u, 1u, 3u, 8u, 0xFFFFFFFFu})
+    EXPECT_THROW((void)analysis::CpaEngine::deserialize(
+                     fuzz::with_field(blob, width, w)),
+                 std::runtime_error)
+        << "width " << w;
 }
 
 /// A Welch accumulator over 16 samples fed `traces` dyadic traces,

@@ -211,6 +211,57 @@ TEST(SimdKernels, AllKernelsBitIdenticalAcrossBackends) {
   }
 }
 
+TEST(SimdKernels, IntegerKernelsMatchTheNaiveSumsOnEveryBackend) {
+  BackendGuard guard;
+  // Lengths hitting the scalar tail only, whole 8-lane vectors and both;
+  // codes at the int16 extremes, planes with every sign pattern.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{8}, std::size_t{9},
+                              std::size_t{125}, std::size_t{1001}}) {
+    Xoshiro256StarStar rng(77 + n);
+    std::vector<std::int16_t> x(n);
+    for (auto& v : x)
+      v = static_cast<std::int16_t>(static_cast<int>(rng.uniform(65'535)) -
+                                    32'767);
+    if (n > 0) x[0] = -32'767;
+    if (n > 1) x[n - 1] = 32'767;
+    const std::size_t stride = n + 3;
+    std::vector<std::int32_t> rows0(8 * stride);
+    for (auto& v : rows0)
+      v = static_cast<std::int32_t>(rng.uniform(1 << 20)) - (1 << 19);
+    std::vector<std::int64_t> base(n);
+    for (auto& v : base)
+      v = static_cast<std::int64_t>(rng.uniform(1ULL << 40)) - (1LL << 39);
+    for (const simd::Backend b : available_backends()) {
+      simd::set_backend(b);
+      SCOPED_TRACE(std::string(simd::backend_name()) + " n=" +
+                   std::to_string(n));
+      std::vector<std::int32_t> rows = rows0;
+      simd::add_planes_i16(x.data(), rows.data(), stride, 8, 0xA6, n);
+      simd::add_planes_i16(x.data(), rows.data(), stride, 3, 0x1, n);
+      std::vector<std::int64_t> w = base, s1 = base, s2 = base;
+      simd::axpy_i16(7, x.data(), w.data(), n);
+      simd::accumulate_sums_i16(x.data(), s1.data(), s2.data(), n);
+      std::vector<double> wide(n);
+      simd::widen_i32(rows.data(), wide.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (unsigned k = 0; k < 8; ++k) {
+          std::int64_t want = rows0[k * stride + i];
+          want += ((0xA6 >> k) & 1) ? -x[i] : x[i];
+          if (k < 3) want += ((0x1 >> k) & 1) ? -x[i] : x[i];
+          ASSERT_EQ(rows[k * stride + i], want) << "plane " << k << " i " << i;
+        }
+        for (std::size_t k = n; k < stride; ++k)  // the gap is untouched
+          ASSERT_EQ(rows[k], rows0[k]);
+        ASSERT_EQ(w[i], base[i] + 7 * std::int64_t{x[i]});
+        ASSERT_EQ(s1[i], base[i] + x[i]);
+        ASSERT_EQ(s2[i], base[i] + std::int64_t{x[i]} * x[i]);
+        ASSERT_EQ(wide[i], static_cast<double>(rows[i]));
+      }
+    }
+  }
+}
+
 /// The WHT as a plain stage loop over a [256][width] panel: stage h takes
 /// row pairs (r, r + h) low to high, or high to low with `reversed`.
 std::vector<double> wht256_by_stages(std::vector<double> p, std::size_t width,
