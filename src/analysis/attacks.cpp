@@ -79,9 +79,6 @@ std::vector<std::size_t> normalized_checkpoints(const AttackParams& params,
 
 namespace {
 
-/// Traces a plain-CPA tile box-averages per parallel shard.
-constexpr std::size_t kBoxGrain = 128;
-
 /// Phase the preprocessing transform of an attack kind bills to (nullptr
 /// for plain CPA, which has no transform).
 const char* transform_phase(AttackKind kind) {
@@ -177,13 +174,6 @@ class AttackFeed {
 
   std::size_t features() const { return features_; }
 
-  /// Box averages of ADC traces are quantized; the transforms' outputs
-  /// are not, so they start on double sums.
-  CpaEngine::SumType sum_type() const {
-    return params_.kind == AttackKind::kCpa ? CpaEngine::SumType::kAuto
-                                            : CpaEngine::SumType::kDouble;
-  }
-
   /// Feeds traces [t0, t1) of `src` to `engine`, whose geometry must be
   /// features() samples.
   template <class Source>
@@ -208,9 +198,9 @@ class AttackFeed {
             obs::PhaseScope tile_phase(phase != nullptr ? phase
                                                         : load_phase(seg));
             // Box averaging alone is too little work per trace to pay for
-            // a dispatch per trace, so plain CPA shards its tile in blocks.
+            // a pool dispatch, so plain CPA preprocesses its tile inline.
             const std::size_t grain =
-                params_.kind == AttackKind::kCpa ? kBoxGrain : 1;
+                params_.kind == AttackKind::kCpa ? n : 1;
             par::parallel_for(0, n, grain, [&](std::size_t jb,
                                                std::size_t je) {
               for (std::size_t j = jb; j < je; ++j)
@@ -322,7 +312,7 @@ AttackOutcome run_attack_impl(const Source& src, const aes::Block& correct_key,
 
   AttackFeed feeder(src, params);
   CpaEngine engine(feeder.features(), normalized_byte_positions(params),
-                   params.leakage, feeder.sum_type());
+                   params.leakage);
   AttackOutcome out;
   out.kind = params.kind;
   std::size_t done = 0;

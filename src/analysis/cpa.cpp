@@ -229,13 +229,11 @@ std::size_t CpaEngine::default_batch_size() {
 }
 
 CpaEngine::CpaEngine(std::size_t samples, std::vector<int> byte_positions,
-                     aes::LeakageModel model, SumType sums)
+                     aes::LeakageModel model)
     : samples_(samples),
       bytes_(std::move(byte_positions)),
       model_(model),
-      sum_type_(sums),
-      batch_(default_batch_size()),
-      rep_(sums == SumType::kDouble ? Rep::kDouble : Rep::kPending) {
+      batch_(default_batch_size()) {
   if (samples_ == 0) throw std::invalid_argument("CpaEngine: zero samples");
   if (bytes_.empty()) throw std::invalid_argument("CpaEngine: no bytes");
   for (const int b : bytes_)
@@ -244,7 +242,6 @@ CpaEngine::CpaEngine(std::size_t samples, std::vector<int> byte_positions,
   check_batch(batch_, samples_, bytes_.size());
   sum_h_.assign(bytes_.size() * 256, 0);
   sum_h2_.assign(bytes_.size() * 256, 0);
-  if (rep_ == Rep::kDouble) allocate(dsum_);
   tile_traces_.resize(batch_ * samples_);
   tile_x_.resize(batch_ * bytes_.size());
   tile_y_.resize(batch_ * bytes_.size());

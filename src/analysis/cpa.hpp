@@ -48,8 +48,9 @@
 // fit, and otherwise — and when a flush or merge could carry a class sum
 // past int32 — the engine promotes itself once, by exact conversion, to
 // double sums.  It never rounds, and it never holds both representations
-// outside that one promotion.  SumType::kDouble (PCA, FFT and DTW
-// features, which are not quantized) starts on the double sums.
+// outside that one promotion.  PCA and FFT features are off any int16
+// grid, so their first flush allocates only the double sums; DTW means
+// that stay on a grid take the integer sums.
 //
 // Determinism: the report reads each integer sum as the double k·2^-e,
 // which is exact, so it sees the very values the double sums hold whenever
@@ -87,11 +88,6 @@ enum class CpaMode { kBatched };
 
 class CpaEngine {
  public:
-  /// kAuto: exact integer sums while the traces are quantized (see the file
-  /// comment), double sums otherwise.  kDouble: double sums from the first
-  /// trace, for features that are never quantized.
-  enum class SumType { kAuto, kDouble };
-
   /// RFTC_CPA_BATCH=<n> traces per tile (default env::kCpaBatchDefault,
   /// 1,024: ≈4 traces per class per tile, ≈0.5 MB of floats at S=125).
   static std::size_t default_batch_size();
@@ -100,8 +96,7 @@ class CpaEngine {
   /// default last-round model the recovered bytes belong to the round-10
   /// key; with the first-round model, to the master key.
   CpaEngine(std::size_t samples, std::vector<int> byte_positions,
-            aes::LeakageModel model = aes::LeakageModel::kLastRoundHd,
-            SumType sums = SumType::kAuto);
+            aes::LeakageModel model = aes::LeakageModel::kLastRoundHd);
 
   /// Accumulate one trace with its known plaintext/observed ciphertext.
   void add(const aes::Block& plaintext, const aes::Block& ciphertext,
@@ -233,7 +228,6 @@ class CpaEngine {
   std::size_t samples_;
   std::vector<int> bytes_;
   aes::LeakageModel model_;
-  SumType sum_type_;
   std::size_t batch_;
   std::size_t n_ = 0;
 
@@ -242,7 +236,7 @@ class CpaEngine {
   // during flush).
   mutable std::vector<std::int64_t> sum_h_, sum_h2_;
 
-  mutable Rep rep_;
+  mutable Rep rep_ = Rep::kPending;
   mutable int exp_ = 0;
   mutable SumArrays<double, double> dsum_;
   mutable SumArrays<std::int64_t, std::int32_t> isum_;

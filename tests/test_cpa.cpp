@@ -228,6 +228,32 @@ void expect_same_bits(const CpaEngine& a, const CpaEngine& b) {
         << "byte " << ra[i].byte_pos;
 }
 
+/// An empty engine on double sums: a fresh engine adopts the
+/// representation of the first snapshot folded into it, here an all-zero
+/// tag-1 (double) one.  The reference the integer path must match.
+CpaEngine double_engine(
+    std::size_t samples, const std::vector<int>& bytes,
+    aes::LeakageModel model = aes::LeakageModel::kLastRoundHd) {
+  const bool last_round = model == aes::LeakageModel::kLastRoundHd;
+  const std::size_t nb = bytes.size(), planes = last_round ? 8 : 1;
+  std::vector<unsigned char> blob;
+  wire::Writer w(wire::append_to(blob));
+  w.magic("RFTCCPA1");
+  w.u32(1);  // engine tag: double sums
+  w.u32(last_round ? 0 : 1);
+  w.u64(samples);
+  w.u64(nb);
+  w.u64(0);  // traces
+  for (const int b : bytes) w.u32(static_cast<std::uint32_t>(b));
+  // t, t2, sum_h, sum_h2, W and the class sums, all zero.
+  const std::vector<std::uint64_t> zeros(
+      2 * samples + 2 * 256 * nb + (last_round ? nb * samples : 0) +
+      nb * 256 * planes * samples);
+  w.array(zeros.data(), zeros.size());
+  w.seal();
+  return CpaEngine::deserialize(blob);
+}
+
 TEST(CpaEngine, IntegerSumsMatchDoubleSumsBitForBit) {
   const Stream s = adc_stream(1'300, 37, 0x1D7);
   for (const auto model :
@@ -235,7 +261,7 @@ TEST(CpaEngine, IntegerSumsMatchDoubleSumsBitForBit) {
     for (const std::size_t batch : {std::size_t{64}, std::size_t{1'024}}) {
       SCOPED_TRACE("batch " + std::to_string(batch));
       CpaEngine exact(37, {0, 6, 13}, model);
-      CpaEngine dbl(37, {0, 6, 13}, model, CpaEngine::SumType::kDouble);
+      CpaEngine dbl = double_engine(37, {0, 6, 13}, model);
       exact.set_batch_size(batch);
       dbl.set_batch_size(batch);
       feed(exact, s, 0, s.traces.size());
@@ -257,8 +283,7 @@ TEST(CpaEngine, FinerGridRescalesAndStaysExact) {
   Xoshiro256StarStar rng(3);
   for (int i = 0; i < 300; ++i) s.push(rng, adc_trace(rng, 19, 25.0f / 512));
   CpaEngine exact(19, {2, 9});
-  CpaEngine dbl(19, {2, 9}, aes::LeakageModel::kLastRoundHd,
-                CpaEngine::SumType::kDouble);
+  CpaEngine dbl = double_engine(19, {2, 9});
   exact.set_batch_size(256);
   feed(exact, s, 0, 600);
   (void)exact.report();
@@ -280,8 +305,7 @@ TEST(CpaEngine, MidStreamPromotionIsBitIdentical) {
     s.traces[700][5] = odd;
     for (std::size_t batch : {std::size_t{256}, std::size_t{1'024}}) {
       CpaEngine exact(23, {0, 8, 15});
-      CpaEngine dbl(23, {0, 8, 15}, aes::LeakageModel::kLastRoundHd,
-                    CpaEngine::SumType::kDouble);
+      CpaEngine dbl = double_engine(23, {0, 8, 15});
       exact.set_batch_size(batch);
       feed(exact, s, 0, 700);
       EXPECT_EQ(exact.integer_sums(), batch == 256);
@@ -299,8 +323,7 @@ TEST(CpaEngine, ClassSumNearTheInt32BoundPromotes) {
   // class sum climbs by 32,767 a trace and would pass INT32_MAX at trace
   // 65,539.  The flush that would cross promotes to doubles first.
   CpaEngine exact(2, {0});
-  CpaEngine dbl(2, {0}, aes::LeakageModel::kLastRoundHd,
-                CpaEngine::SumType::kDouble);
+  CpaEngine dbl = double_engine(2, {0});
   Xoshiro256StarStar rng(0x1B7);
   aes::Block ct{};
   ct[0] = 0x5A;
@@ -326,14 +349,15 @@ TEST(CpaEngine, MixedRepresentationMergeIsBitIdentical) {
   Stream odd = adc_stream(300, 29, 0x3E8);
   for (auto& tr : odd.traces)
     for (float& v : tr) v /= 3;
-  const auto engine = [](CpaEngine::SumType t) {
-    CpaEngine e(29, {1, 4, 11}, aes::LeakageModel::kLastRoundHd, t);
+  const auto engine = [](bool doubles) {
+    CpaEngine e = doubles ? double_engine(29, {1, 4, 11})
+                          : CpaEngine(29, {1, 4, 11});
     e.set_batch_size(128);
     return e;
   };
-  CpaEngine a = engine(CpaEngine::SumType::kAuto);
-  CpaEngine a_dbl = engine(CpaEngine::SumType::kDouble);
-  CpaEngine b = engine(CpaEngine::SumType::kAuto);
+  CpaEngine a = engine(false);
+  CpaEngine a_dbl = engine(true);
+  CpaEngine b = engine(false);
   feed(a, s, 0, 500);
   feed(a_dbl, s, 0, 500);
   feed(b, odd, 0, 300);
@@ -369,8 +393,8 @@ TEST(CpaEngine, MixedRepresentationMergeIsBitIdentical) {
   Xoshiro256StarStar rng(9);
   for (std::size_t i = 500; i < 800; ++i)
     fine.traces[i] = adc_trace(rng, 29, 25.0f / 512);
-  CpaEngine c = engine(CpaEngine::SumType::kAuto);
-  CpaEngine whole = engine(CpaEngine::SumType::kDouble);
+  CpaEngine c = engine(false);
+  CpaEngine whole = engine(true);
   feed(c, fine, 500, 800);
   feed(whole, fine, 0, 800);
   for (const bool blob : {false, true}) {

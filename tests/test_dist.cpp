@@ -603,29 +603,35 @@ void expect_all_flip_regions(const std::vector<unsigned char>& blob) {
 }
 
 TEST(DistSerialize, CpaEngineRejectsCorruptBlobs) {
-  // Three byte positions: the odd count of u32 header fields leaves a
-  // sub-16-byte tail past the fold.
-  const analysis::CpaEngine engine = make_synthetic_engine(24, 40, {0, 3, 7});
-  const std::vector<unsigned char> blob = engine.serialize();
-  expect_all_flip_regions(blob);
-
   EXPECT_THROW(analysis::CpaEngine::deserialize({}), std::runtime_error);
+  // An integer snapshot (tag 3) and a double one (tag 1).  Three byte
+  // positions: the odd count of u32 header fields leaves a sub-16-byte
+  // tail past the fold.
+  for (const float quantum : {kDyadicQuantum, kThirdQuantum}) {
+    const bool integer = quantum == kDyadicQuantum;
+    SCOPED_TRACE(integer ? "tag 3" : "tag 1");
+    const std::vector<unsigned char> blob =
+        make_synthetic_engine(24, 40, {0, 3, 7}, quantum).serialize();
+    ASSERT_EQ(blob.at(8), integer ? 3 : 1);
+    expect_all_flip_regions(blob);
 
-  std::vector<unsigned char> truncated(blob.begin(),
-                                       blob.begin() + blob.size() / 2);
-  EXPECT_THROW(analysis::CpaEngine::deserialize(truncated),
-               std::runtime_error);
+    std::vector<unsigned char> truncated(blob.begin(),
+                                         blob.begin() + blob.size() / 2);
+    EXPECT_THROW(analysis::CpaEngine::deserialize(truncated),
+                 std::runtime_error);
 
-  EXPECT_TRUE(every_bit_flip_rejected(
-      "cpa_blob_bitflip", 0xB10BF11B, blob,
-      [](std::span<const unsigned char> b) {
-        (void)analysis::CpaEngine::deserialize(b);
-      }));
+    EXPECT_TRUE(every_bit_flip_rejected(
+        integer ? "cpa_int_blob_bitflip" : "cpa_blob_bitflip",
+        integer ? 0xB10BF11C : 0xB10BF11B, blob,
+        [](std::span<const unsigned char> b) {
+          (void)analysis::CpaEngine::deserialize(b);
+        }));
 
-  std::vector<unsigned char> bad_magic = blob;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_THROW(analysis::CpaEngine::deserialize(bad_magic),
-               std::runtime_error);
+    std::vector<unsigned char> bad_magic = blob;
+    bad_magic[0] ^= 0xFF;
+    EXPECT_THROW(analysis::CpaEngine::deserialize(bad_magic),
+                 std::runtime_error);
+  }
 }
 
 /// A CRC-sealed last-round CPA blob whose header claims `samples` samples
@@ -857,39 +863,54 @@ TEST(DistSerialize, CpaBlobTruncatedAtEverySectionBoundary) {
 
 TEST(DistSerialize, CpaBlobWithAStaleEngineTagIsRejectedUntouched) {
   // Tag 0 marked a snapshot of the per-guess streaming engine older builds
-  // shipped; 2 was never written.  Resealed, so only the tag is wrong —
-  // the payload even has this geometry's exact size.
+  // shipped; 2 was never written.  Resealed, so only the tag is wrong: the
+  // tag-1 blob's payload even has this geometry's exact size in the
+  // double layout those tags shared with it.  The tag-3 blob gets the
+  // same edit.
   const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
   const std::vector<unsigned char> before = target.serialize();
-  for (const std::uint32_t tag : {0u, 2u}) {
-    std::vector<unsigned char> blob =
-        make_synthetic_engine(24, 16, {0, 3, 7}).serialize();
-    for (std::size_t i = 0; i < 4; ++i)  // the little-endian u32 after magic
-      blob[8 + i] = static_cast<unsigned char>(tag >> (8 * i));
-    blob = resealed(blob);
-    EXPECT_THROW((void)analysis::CpaEngine::deserialize(blob),
-                 std::runtime_error)
-        << "tag " << tag;
-    analysis::CpaEngine t = target;
-    EXPECT_THROW(t.merge(blob), std::runtime_error) << "tag " << tag;
-    EXPECT_EQ(t.serialize(), before) << "tag " << tag;
+  for (const float quantum : {kThirdQuantum, kDyadicQuantum}) {
+    const std::vector<unsigned char> source =
+        make_synthetic_engine(24, 16, {0, 3, 7}, quantum).serialize();
+    ASSERT_EQ(source.at(8), quantum == kThirdQuantum ? 1 : 3);
+    for (const std::uint32_t tag : {0u, 2u}) {
+      SCOPED_TRACE("tag " + std::to_string(tag) + " over tag " +
+                   std::to_string(source.at(8)));
+      std::vector<unsigned char> blob = source;
+      for (std::size_t i = 0; i < 4; ++i)  // the little-endian u32 after magic
+        blob[8 + i] = static_cast<unsigned char>(tag >> (8 * i));
+      blob = resealed(blob);
+      EXPECT_THROW((void)analysis::CpaEngine::deserialize(blob),
+                   std::runtime_error);
+      analysis::CpaEngine t = target;
+      EXPECT_THROW(t.merge(blob), std::runtime_error);
+      EXPECT_EQ(t.serialize(), before);
+    }
   }
 }
 
 TEST(DistSerialize, CpaBlobRandomMutationsKeepTheParserContract) {
   const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
-  const std::vector<unsigned char> blob =
-      make_synthetic_engine(24, 16, {0, 3, 7}).serialize();
-  // Header: everything before the first accumulator array.
-  const std::size_t header = cpa_header_size(target, blob);
-  EXPECT_TRUE(pbt::check<BlobMutation>(
-      "cpa_blob_mutation",
-      [&](pbt::Rng& rng) { return random_mutation(rng, blob.size(), header); },
-      [&](const BlobMutation& m) {
-        return blob_contract(mutated(blob, m), target);
-      },
-      pbt::Config::from_env(0x3B10B5EED, 100), shrink_mutation,
-      describe_mutation));
+  // A double snapshot (tag 1) and an integer one (tag 3).
+  for (const float quantum : {kThirdQuantum, kDyadicQuantum}) {
+    const bool integer = quantum == kDyadicQuantum;
+    SCOPED_TRACE(integer ? "tag 3" : "tag 1");
+    const std::vector<unsigned char> blob =
+        make_synthetic_engine(24, 16, {0, 3, 7}, quantum).serialize();
+    ASSERT_EQ(blob.at(8), integer ? 3 : 1);
+    // Header: everything before the first accumulator array.
+    const std::size_t header = cpa_header_size(target, blob);
+    EXPECT_TRUE(pbt::check<BlobMutation>(
+        integer ? "cpa_int_blob_mutation" : "cpa_blob_mutation",
+        [&](pbt::Rng& rng) {
+          return random_mutation(rng, blob.size(), header);
+        },
+        [&](const BlobMutation& m) {
+          return blob_contract(mutated(blob, m), target);
+        },
+        pbt::Config::from_env(integer ? 0x3B10B5EEE : 0x3B10B5EED, 100),
+        shrink_mutation, describe_mutation));
+  }
 }
 
 TEST(DistSerialize, CpaIntegerHeaderBoundaryValuesKeepTheParserContract) {
