@@ -595,8 +595,9 @@ CpaSnapshot parse_snapshot(std::span<const unsigned char> blob,
   if (!view.integral) return snap;
 
   // Integer sums: within the bounds an integer engine keeps, and in the
-  // canonical form serialize() writes, so every accepted snapshot
-  // round-trips byte for byte.
+  // canonical form serialize() writes, so every accepted integer snapshot
+  // round-trips byte for byte.  (A double snapshot of grid sums, as builds
+  // before tag 3 wrote, is read as it is and written back as tag 3.)
   std::uint64_t or_ctw = 0, or_t2 = 0;
   view.t2_max = 0;
   for (std::size_t s = 0; s < S; ++s) {

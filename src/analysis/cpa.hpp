@@ -149,8 +149,10 @@ class CpaEngine {
   /// engine tag.  Tag 3: every sum is an integer on one grid 2^-e (sum_t2
   /// on 2^-2e) inside its integer type; the arrays are int64 except the
   /// int32 class sums, on the coarsest grid that holds every sum.  Tag 1
-  /// otherwise: raw doubles and int64s.  Tag 0 marked the per-guess cross sums of an older streaming
-  /// engine; it, tag 2 and non-canonical tag-3 snapshots are rejected with
+  /// otherwise: raw doubles and int64s.  A tag-1 snapshot of grid sums, as
+  /// builds before tag 3 wrote, still parses and re-serializes as tag 3.
+  /// Tag 0 marked the per-guess cross sums of an older streaming engine;
+  /// it, tag 2 and non-canonical tag-3 snapshots are rejected with
   /// std::runtime_error.  Any buffered tile is flushed first.
   /// deserialize() reconstructs an engine whose merge() and report() are
   /// bit-identical to the original — it parses the header, constructs the

@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -753,7 +755,10 @@ std::size_t cpa_header_size(const analysis::CpaEngine& e,
 /// merge(blob) each either throw a typed error (std::runtime_error or
 /// std::invalid_argument) — merge leaving its target's serialize() bytes as
 /// they were — or accept it, and then deserialize() round-trips the blob
-/// and merge(blob) equals merge(deserialize(blob)).
+/// and merge(blob) equals merge(deserialize(blob)).  One accepted blob is
+/// not canonical: a tag-1 blob whose sums all sit on one grid, as builds
+/// before tag 3 wrote them, re-serializes as the tag-3 blob of its sums,
+/// which must round-trip in turn.
 std::optional<std::string> blob_contract(std::span<const unsigned char> cand,
                                          const analysis::CpaEngine& target) {
   std::optional<analysis::CpaEngine> parsed;
@@ -766,7 +771,11 @@ std::optional<std::string> blob_contract(std::span<const unsigned char> cand,
   }
   if (parsed) {
     const std::vector<unsigned char> back = parsed->serialize();
-    if (!std::equal(back.begin(), back.end(), cand.begin(), cand.end()))
+    const bool grid_sums_of_a_double_blob =
+        cand[8] == 1 && back.at(8) == 3 &&
+        analysis::CpaEngine::deserialize(back).serialize() == back;
+    if (!grid_sums_of_a_double_blob &&
+        !std::equal(back.begin(), back.end(), cand.begin(), cand.end()))
       return "deserialize accepted a blob that does not round-trip";
   }
   analysis::CpaEngine merged = target;
@@ -887,6 +896,65 @@ TEST(DistSerialize, CpaBlobWithAStaleEngineTagIsRejectedUntouched) {
       EXPECT_EQ(t.serialize(), before);
     }
   }
+}
+
+/// The tag-1 blob builds before tag 3 wrote for the sums of `integer`, the
+/// tag-3 blob of last-round engine `e`: its header without the grid, each
+/// integer k on 2^-e as the double k·2^-e (sum_t2 on 2^-2e) and the
+/// hypothesis sums as they are.
+std::vector<unsigned char> double_blob_of(
+    const analysis::CpaEngine& e, const std::vector<unsigned char>& integer) {
+  const std::vector<std::size_t> at =
+      cpa_section_bounds(e, aes::LeakageModel::kLastRoundHd, integer);
+  // Sections 7..13: grid, sum_t, sum_t2, sum_h, sum_h2, W, class sums.
+  const int exp =
+      static_cast<std::int32_t>(fuzz::field_value(integer, {at[7], 4}));
+  std::vector<unsigned char> out(integer.begin(), integer.begin() + at[7]);
+  out[8] = 1;  // engine tag: double sums
+  const auto put_doubles = [&](std::size_t section, auto type, int sq) {
+    using T = decltype(type);
+    for (std::size_t o = at[section]; o < at[section + 1]; o += sizeof(T)) {
+      T k;
+      std::memcpy(&k, integer.data() + o, sizeof k);
+      const double v = std::ldexp(static_cast<double>(k), -sq * exp);
+      const auto* p = reinterpret_cast<const unsigned char*>(&v);
+      out.insert(out.end(), p, p + sizeof v);
+    }
+  };
+  put_doubles(8, std::int64_t{}, 1);
+  put_doubles(9, std::int64_t{}, 2);
+  out.insert(out.end(), integer.begin() + static_cast<std::ptrdiff_t>(at[10]),
+             integer.begin() + static_cast<std::ptrdiff_t>(at[12]));
+  put_doubles(12, std::int64_t{}, 1);
+  put_doubles(13, std::int32_t{}, 1);
+  out.resize(out.size() + 4);  // the seal
+  return resealed(out);
+}
+
+TEST(DistSerialize, CpaDoubleBlobOfGridSumsReadsAsItsIntegerBlob) {
+  // Builds before tag 3 wrote every snapshot as tag 1, grid sums too.
+  // Such a blob still reads, as the same sums: it re-serializes as the
+  // engine's canonical tag-3 blob, and merging it matches merging that.
+  const analysis::CpaEngine source = make_synthetic_engine(24, 16, {0, 3, 7});
+  const std::vector<unsigned char> integer = source.serialize();
+  ASSERT_EQ(integer.at(8), 3);
+  const std::vector<unsigned char> legacy = double_blob_of(source, integer);
+  // The tag-1 layout of this geometry.
+  ASSERT_EQ(legacy.size(),
+            make_synthetic_engine(24, 16, {0, 3, 7}, kThirdQuantum)
+                .serialize()
+                .size());
+  const analysis::CpaEngine read = analysis::CpaEngine::deserialize(legacy);
+  EXPECT_FALSE(read.integer_sums());
+  EXPECT_EQ(read.serialize(), integer);
+
+  const analysis::CpaEngine target = make_synthetic_engine(24, 40, {0, 3, 7});
+  analysis::CpaEngine by_legacy = target, by_integer = target;
+  by_legacy.merge(legacy);
+  by_integer.merge(integer);
+  EXPECT_EQ(by_legacy.serialize(), by_integer.serialize());
+  const std::optional<std::string> bad = blob_contract(legacy, target);
+  EXPECT_FALSE(bad) << *bad;
 }
 
 TEST(DistSerialize, CpaBlobRandomMutationsKeepTheParserContract) {
